@@ -50,7 +50,10 @@ int main() {
       cp);
 
   Device device(DeviceProfile::host());
-  const ZonalPipeline pipe(device, {.tile_size = tile, .bins = bins});
+  // Brute refine: PerfModel is calibrated on brute edge tests.
+  const ZonalPipeline pipe(device,
+                           {.tile_size = tile, .bins = bins,
+                            .refine_strategy = RefineStrategy::kBrute});
 
   Timer tp;
   const ZonalResult pr = pipe.run(dem, counties);

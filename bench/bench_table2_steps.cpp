@@ -43,7 +43,10 @@ int main() {
               setup.seconds());
 
   Device device(DeviceProfile::host());
-  const ZonalPipeline pipeline(device, {.tile_size = tile, .bins = bins});
+  // Brute refine: PerfModel is calibrated on brute edge tests.
+  const ZonalPipeline pipeline(device,
+                               {.tile_size = tile, .bins = bins,
+                                .refine_strategy = RefineStrategy::kBrute});
   const PolygonSoA soa = PolygonSoA::build(w.counties);
 
   // Run Steps 0-4 per raster (as the paper does per file), summing times

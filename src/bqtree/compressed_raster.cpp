@@ -1,5 +1,8 @@
 #include "bqtree/compressed_raster.hpp"
 
+#include <atomic>
+#include <numeric>
+
 #include "device/thread_pool.hpp"
 #include "obs/obs.hpp"
 
@@ -10,7 +13,7 @@ BqCompressedRaster BqCompressedRaster::encode(const DemRaster& raster,
   ZH_TRACE_SPAN("bqtree.encode", "pipeline");
   BqCompressedRaster out(
       TilingScheme(raster.rows(), raster.cols(), tile_size),
-      raster.transform());
+      raster.transform(), raster.nodata());
   const std::size_t n = out.tiling_.tile_count();
   out.tiles_.resize(n);
   ThreadPool::global().parallel_for(n, [&](std::size_t b, std::size_t e) {
@@ -36,7 +39,7 @@ BqCompressedRaster BqCompressedRaster::encode(const DemRaster& raster,
 
 BqCompressedRaster BqCompressedRaster::from_tiles(
     const TilingScheme& tiling, const GeoTransform& transform,
-    std::vector<BqEncodedTile> tiles) {
+    std::vector<BqEncodedTile> tiles, std::optional<CellValue> nodata) {
   ZH_REQUIRE_IO(tiles.size() == tiling.tile_count(),
                 "tile count does not match tiling: ", tiles.size(), " vs ",
                 tiling.tile_count());
@@ -46,32 +49,44 @@ BqCompressedRaster BqCompressedRaster::from_tiles(
                       tiles[id].cols == static_cast<std::uint32_t>(w.cols),
                   "tile ", id, " dims do not match the tiling window");
   }
-  BqCompressedRaster out(tiling, transform);
+  BqCompressedRaster out(tiling, transform, nodata);
   out.tiles_ = std::move(tiles);
   return out;
 }
 
-DemRaster BqCompressedRaster::decode_all() const {
-  ZH_TRACE_SPAN("step0.decode_all", "pipeline");
-  ZH_COUNTER_ADD("bqtree.bytes_decoded", compressed_bytes());
-  ZH_COUNTER_ADD("bqtree.tiles_decoded", tiling_.tile_count());
+DemRaster BqCompressedRaster::decode_tiles(
+    std::span<const TileId> ids) const {
+  ZH_TRACE_SPAN("step0.decode", "pipeline");
   DemRaster raster(tiling_.raster_rows(), tiling_.raster_cols(), transform_);
-  const std::size_t n = tiling_.tile_count();
-  ThreadPool::global().parallel_for(n, [&](std::size_t b, std::size_t e) {
+  raster.set_nodata(nodata_);
+  std::atomic<std::uint64_t> bytes{0};
+  ThreadPool::global().parallel_for(ids.size(), [&](std::size_t b,
+                                                    std::size_t e) {
     std::vector<CellValue> cells;
-    for (std::size_t t = b; t < e; ++t) {
-      const TileId id = static_cast<TileId>(t);
+    std::uint64_t local_bytes = 0;
+    for (std::size_t i = b; i < e; ++i) {
+      const TileId id = ids[i];
       const CellWindow w = tiling_.tile_window(id);
       cells.resize(static_cast<std::size_t>(w.cell_count()));
       decode_tile(id, cells);
+      local_bytes += tile(id).compressed_bytes();
       for (std::int64_t r = 0; r < w.rows; ++r) {
         std::copy(cells.begin() + static_cast<std::size_t>(r * w.cols),
                   cells.begin() + static_cast<std::size_t>((r + 1) * w.cols),
                   &raster.at(w.row0 + r, w.col0));
       }
     }
+    bytes.fetch_add(local_bytes, std::memory_order_relaxed);
   });
+  ZH_COUNTER_ADD("bqtree.bytes_decoded", bytes.load());
+  ZH_COUNTER_ADD("bqtree.tiles_decoded", ids.size());
   return raster;
+}
+
+DemRaster BqCompressedRaster::decode_all() const {
+  std::vector<TileId> ids(tiling_.tile_count());
+  std::iota(ids.begin(), ids.end(), TileId{0});
+  return decode_tiles(ids);
 }
 
 std::size_t BqCompressedRaster::compressed_bytes() const {

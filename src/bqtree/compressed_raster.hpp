@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "bqtree/bqtree.hpp"
@@ -20,18 +22,21 @@ namespace zh {
 class BqCompressedRaster {
  public:
   /// Encode `raster` tile by tile (tiles encoded in parallel on the
-  /// global pool).
+  /// global pool). The raster's nodata value is kept.
   static BqCompressedRaster encode(const DemRaster& raster,
                                    std::int64_t tile_size);
 
   /// Assemble from already-encoded tiles (deserialization path). Tile
   /// dims must match the tiling's windows; throws IoError otherwise.
-  static BqCompressedRaster from_tiles(const TilingScheme& tiling,
-                                       const GeoTransform& transform,
-                                       std::vector<BqEncodedTile> tiles);
+  static BqCompressedRaster from_tiles(
+      const TilingScheme& tiling, const GeoTransform& transform,
+      std::vector<BqEncodedTile> tiles,
+      std::optional<CellValue> nodata = std::nullopt);
 
   [[nodiscard]] const TilingScheme& tiling() const { return tiling_; }
   [[nodiscard]] const GeoTransform& transform() const { return transform_; }
+  /// The source raster's nodata value; every decoded raster carries it.
+  [[nodiscard]] std::optional<CellValue> nodata() const { return nodata_; }
 
   [[nodiscard]] const BqEncodedTile& tile(TileId id) const {
     ZH_REQUIRE(id < tiles_.size(), "tile id out of range");
@@ -44,7 +49,11 @@ class BqCompressedRaster {
     bq_decode(tile(id), out);
   }
 
-  /// Decode the full raster (tiles decoded in parallel).
+  /// Decode the listed tiles (in parallel) into a full-extent raster.
+  /// Cells of unlisted tiles are zero and must not be read.
+  [[nodiscard]] DemRaster decode_tiles(std::span<const TileId> ids) const;
+
+  /// Decode the full raster (decode_tiles over every tile).
   [[nodiscard]] DemRaster decode_all() const;
 
   [[nodiscard]] std::size_t compressed_bytes() const;
@@ -58,11 +67,13 @@ class BqCompressedRaster {
   }
 
  private:
-  BqCompressedRaster(TilingScheme tiling, GeoTransform transform)
-      : tiling_(tiling), transform_(transform) {}
+  BqCompressedRaster(TilingScheme tiling, GeoTransform transform,
+                     std::optional<CellValue> nodata)
+      : tiling_(tiling), transform_(transform), nodata_(nodata) {}
 
   TilingScheme tiling_{0, 0, 1};
   GeoTransform transform_;
+  std::optional<CellValue> nodata_;
   std::vector<BqEncodedTile> tiles_;
 };
 

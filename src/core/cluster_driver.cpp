@@ -27,8 +27,11 @@ std::vector<std::byte> encode_result(std::uint32_t part_index,
                                      std::span<const BinCount> bins) {
   std::vector<std::byte> bytes(sizeof(part_index) + bins.size_bytes());
   std::memcpy(bytes.data(), &part_index, sizeof(part_index));
-  std::memcpy(bytes.data() + sizeof(part_index), bins.data(),
-              bins.size_bytes());
+  // An empty zone layer has no bins, and bins.data() may be null.
+  if (!bins.empty()) {
+    std::memcpy(bytes.data() + sizeof(part_index), bins.data(),
+                bins.size_bytes());
+  }
   return bytes;
 }
 
@@ -482,8 +485,10 @@ ClusterRunResult run_cluster_zonal(
         const std::size_t nbins =
             (msg.payload.size() - sizeof(index)) / sizeof(BinCount);
         std::vector<BinCount> bins(nbins);
-        std::memcpy(bins.data(), msg.payload.data() + sizeof(index),
-                    nbins * sizeof(BinCount));
+        if (nbins > 0) {
+          std::memcpy(bins.data(), msg.payload.data() + sizeof(index),
+                      nbins * sizeof(BinCount));
+        }
         if (accumulate(index, bins)) {
           ++outcome[msg.src].partitions_completed;
         }

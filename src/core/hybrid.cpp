@@ -1,14 +1,12 @@
 #include "core/hybrid.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <thread>
 
+#include "core/executor.hpp"
 #include "core/perf_model.hpp"
-#include "core/step1_tile_hist.hpp"
 #include "obs/obs.hpp"
-#include "core/step2_pairing.hpp"
-#include "core/step3_aggregate.hpp"
-#include "core/step4_refine.hpp"
 
 namespace zh {
 
@@ -75,39 +73,13 @@ HybridResult run_hybrid(Device& primary, Device& secondary,
   ZH_REQUIRE(zc.bins >= 1, "bin count must be positive");
   ZH_TRACE_SPAN("hybrid.run", "pipeline");
 
-  HybridResult result;
-  result.per_polygon = HistogramSet(polygons.size(), zc.bins);
-  result.work.cells_total = static_cast<std::uint64_t>(raster.cell_count());
-  result.work.polygon_vertices = polygons.vertex_count();
-
-  const TilingScheme tiling(raster.rows(), raster.cols(), zc.tile_size);
-  result.work.tiles_total = tiling.tile_count();
+  const ZonalPlan plan = plan_zonal(
+      polygons, TilingScheme(raster.rows(), raster.cols(), zc.tile_size),
+      raster.transform());
   const PolygonSoA soa = PolygonSoA::build(polygons);
-  Timer timer;
-
-  // Steps 1-3 on the primary device, exactly as in ZonalPipeline.
-  ZonalWorkspace ws;
-  timer.reset();
-  tile_histograms_into(primary, raster, tiling, zc.bins, zc.count_mode,
-                       ws.tile_hist, zc.cell_order);
-  result.times.seconds[1] = timer.seconds();
-
-  timer.reset();
-  const PairingResult pairing =
-      pair_and_group(polygons, tiling, raster.transform());
-  result.times.seconds[2] = timer.seconds();
-  result.work.candidate_pairs = pairing.candidate_pairs;
-  result.work.pairs_inside = pairing.inside.pair_count();
-  result.work.pairs_intersect = pairing.intersect.pair_count();
-
-  timer.reset();
-  aggregate_inside_tiles(primary, pairing.inside, ws.tile_hist,
-                         result.per_polygon);
-  result.times.seconds[3] = timer.seconds();
-  result.work.aggregate_bin_adds =
-      static_cast<std::uint64_t>(pairing.inside.pair_count()) * zc.bins;
 
   // Step 4: split by modeled device speeds unless a fraction is forced.
+  HybridResult result;
   double fraction = config.primary_fraction;
   if (fraction < 0.0) {
     const double sp =
@@ -117,58 +89,60 @@ HybridResult run_hybrid(Device& primary, Device& secondary,
     fraction = sp / (sp + ss);
   }
   result.primary_fraction = std::clamp(fraction, 0.0, 1.0);
+  const PolygonTileGroups& intersect = plan.pairing.intersect;
   const std::size_t split =
-      split_point(pairing.intersect, soa, tiling, result.primary_fraction);
-  const PolygonTileGroups head = slice_groups(pairing.intersect, 0, split);
-  const PolygonTileGroups tail = slice_groups(
-      pairing.intersect, split, pairing.intersect.group_count());
+      split_point(intersect, soa, plan.tiling, result.primary_fraction);
 
-  // Each device refines into its own histogram set; a polygon's groups
-  // live entirely on one side, so no cross-device row races exist and
-  // the merge is a plain add.
-  HistogramSet primary_hist(polygons.size(), zc.bins);
-  HistogramSet secondary_hist(polygons.size(), zc.bins);
-  RefineCounters rc_primary;
-  RefineCounters rc_secondary;
-  timer.reset();
+  // The primary executes Steps 1-3 and the head share of Step 4; the
+  // secondary only the tail share (its plan has no inside tiles). A
+  // polygon's groups live entirely on one side, so each device owns its
+  // rows and the merge is a plain add.
+  ZonalPlan head = plan;
+  head.pairing.intersect = slice_groups(intersect, 0, split);
+  ZonalPlan tail;
+  tail.tiling = plan.tiling;
+  tail.pairing.intersect =
+      slice_groups(intersect, split, intersect.group_count());
+
+  ZonalWorkspace primary_ws;
+  ZonalWorkspace secondary_ws;
+  ZonalResult tail_result;
+  ZonalResult head_result;
+  std::exception_ptr secondary_error;
   {
-    // The secondary device runs on its own thread, concurrently with
-    // the primary (CP.25: joined before use of the results).
-    Timer secondary_timer;
-    double secondary_s = 0.0;
-    std::thread secondary_thread([&] {
-      ZH_TRACE_SPAN("hybrid.refine_secondary", "pipeline");
-      rc_secondary = refine_boundary_tiles(
-          secondary, tail, soa, raster, tiling, secondary_hist,
-          zc.refine_granularity, zc.refine_strategy);
-      secondary_s = secondary_timer.seconds();
+    // The secondary device runs on its own thread, concurrently with the
+    // primary; the jthread joins before the results are read, also when
+    // the primary throws.
+    const std::jthread secondary_thread([&] {
+      ZH_TRACE_SPAN("hybrid.secondary", "pipeline");
+      try {
+        tail_result =
+            execute_plan(secondary, tail, raster, soa, zc, secondary_ws);
+      } catch (...) {
+        secondary_error = std::current_exception();
+      }
     });
-    Timer primary_timer;
-    {
-      ZH_TRACE_SPAN("hybrid.refine_primary", "pipeline");
-      rc_primary = refine_boundary_tiles(
-          primary, head, soa, raster, tiling, primary_hist,
-          zc.refine_granularity, zc.refine_strategy);
-    }
-    result.primary_seconds = primary_timer.seconds();
-    secondary_thread.join();
-    result.secondary_seconds = secondary_s;
+    ZH_TRACE_SPAN("hybrid.primary", "pipeline");
+    head_result = execute_plan(primary, head, raster, soa, zc, primary_ws);
   }
-  result.times.seconds[4] = timer.seconds();
+  if (secondary_error) std::rethrow_exception(secondary_error);
+  result.primary_seconds = head_result.times.seconds[4];
+  result.secondary_seconds = tail_result.times.seconds[4];
 
   Timer merge_timer;
-  result.per_polygon.add(primary_hist);
-  result.per_polygon.add(secondary_hist);
+  result.per_polygon = std::move(head_result.per_polygon);
+  result.per_polygon.add(tail_result.per_polygon);
+  result.times = plan.times;
+  result.times += head_result.times;
+  result.times.seconds[4] =
+      std::max(result.primary_seconds, result.secondary_seconds);
   result.times.overhead.merge = merge_timer.seconds();
-  result.work.pip_cell_tests =
-      rc_primary.cell_tests + rc_secondary.cell_tests;
-  result.work.pip_edge_tests =
-      rc_primary.edge_tests + rc_secondary.edge_tests;
-  result.work.pip_rows_scanned =
-      rc_primary.rows_scanned + rc_secondary.rows_scanned;
-  result.work.pip_run_cells =
-      rc_primary.run_cells + rc_secondary.run_cells;
-  result.work.cells_in_polygons = result.per_polygon.total();
+  result.work = plan.work;
+  result.work += head_result.work;
+  result.work += tail_result.work;
+  // Steps 0-1 cover the raster once, on the primary.
+  result.work.cells_total = head_result.work.cells_total;
+  result.work.raw_bytes = head_result.work.raw_bytes;
   return result;
 }
 

@@ -1,7 +1,7 @@
 #include "core/pipeline.hpp"
 
 #include "cluster/partition.hpp"
-#include "core/step3_aggregate.hpp"
+#include "core/executor.hpp"
 #include "obs/obs.hpp"
 
 namespace zh {
@@ -12,6 +12,7 @@ void append_work_counters(obs::RunReport& report, const WorkCounters& work) {
   };
   add("cells_total", work.cells_total);
   add("tiles_total", work.tiles_total);
+  add("tiles_decoded", work.tiles_decoded);
   add("candidate_pairs", work.candidate_pairs);
   add("pairs_inside", work.pairs_inside);
   add("pairs_intersect", work.pairs_intersect);
@@ -29,6 +30,7 @@ void append_work_counters(obs::RunReport& report, const WorkCounters& work) {
 WorkCounters& WorkCounters::operator+=(const WorkCounters& o) {
   cells_total += o.cells_total;
   tiles_total += o.tiles_total;
+  tiles_decoded += o.tiles_decoded;
   candidate_pairs += o.candidate_pairs;
   pairs_inside += o.pairs_inside;
   pairs_intersect += o.pairs_intersect;
@@ -44,6 +46,24 @@ WorkCounters& WorkCounters::operator+=(const WorkCounters& o) {
   return *this;
 }
 
+namespace {
+
+/// Execute `plan` with the caller's workspace (or a local one) and add
+/// the plan's own Step-2 accounting.
+ZonalResult run_plan(Device& device, const ZonalConfig& config,
+                     const ZonalPlan& plan, const DemRaster& raster,
+                     const PolygonSoA& soa, ZonalWorkspace* workspace) {
+  ZonalWorkspace local_ws;
+  ZonalResult result =
+      execute_plan(device, plan, raster, soa, config,
+                   workspace != nullptr ? *workspace : local_ws);
+  result.times += plan.times;
+  result.work += plan.work;
+  return result;
+}
+
+}  // namespace
+
 ZonalResult ZonalPipeline::run(const DemRaster& raster,
                                const PolygonSet& polygons,
                                ZonalWorkspace* workspace) const {
@@ -58,64 +78,10 @@ ZonalResult ZonalPipeline::run(const DemRaster& raster,
   ZH_REQUIRE(soa.polygon_count() == polygons.size(),
              "SoA does not match polygon set");
   ZH_TRACE_SPAN("pipeline.run", "pipeline");
-  ZonalResult result;
-  result.per_polygon = HistogramSet(polygons.size(), config_.bins);
-  result.work.polygon_vertices = polygons.vertex_count();
-  result.work.cells_total = static_cast<std::uint64_t>(raster.cell_count());
-  result.work.raw_bytes =
-      static_cast<std::uint64_t>(raster.cell_count()) * sizeof(CellValue);
-
-  const TilingScheme tiling(raster.rows(), raster.cols(),
-                            config_.tile_size);
-  result.work.tiles_total = tiling.tile_count();
-  Timer timer;
-
-  // Step 1: per-tile histograms (independent of the polygon layer). The
-  // table lives in the caller's workspace when one is supplied, so
-  // successive runs reuse the (potentially multi-GB) allocation.
-  timer.reset();
-  ZonalWorkspace local_ws;
-  ZonalWorkspace& ws = workspace != nullptr ? *workspace : local_ws;
-  tile_histograms_into(*device_, raster, tiling, config_.bins,
-                       config_.count_mode, ws.tile_hist,
-                       config_.cell_order);
-  const HistogramSet& tile_hist = ws.tile_hist;
-  result.times.seconds[1] = timer.seconds();
-  ZH_LATENCY_RECORD("latency.step1", result.times.seconds[1]);
-
-  // Step 2: MBB rasterization + tile classification + Fig. 4 grouping.
-  timer.reset();
-  const PairingResult pairing =
-      pair_and_group(polygons, tiling, raster.transform());
-  result.times.seconds[2] = timer.seconds();
-  ZH_LATENCY_RECORD("latency.step2", result.times.seconds[2]);
-  result.work.candidate_pairs = pairing.candidate_pairs;
-  result.work.pairs_inside = pairing.inside.pair_count();
-  result.work.pairs_intersect = pairing.intersect.pair_count();
-
-  // Step 3: aggregate completely-inside tile histograms.
-  timer.reset();
-  aggregate_inside_tiles(*device_, pairing.inside, tile_hist,
-                         result.per_polygon);
-  result.times.seconds[3] = timer.seconds();
-  ZH_LATENCY_RECORD("latency.step3", result.times.seconds[3]);
-  result.work.aggregate_bin_adds =
-      static_cast<std::uint64_t>(pairing.inside.pair_count()) *
-      config_.bins;
-
-  // Step 4: cell-in-polygon refinement on boundary tiles.
-  timer.reset();
-  const RefineCounters rc = refine_boundary_tiles(
-      *device_, pairing.intersect, soa, raster, tiling, result.per_polygon,
-      config_.refine_granularity, config_.refine_strategy);
-  result.times.seconds[4] = timer.seconds();
-  ZH_LATENCY_RECORD("latency.step4", result.times.seconds[4]);
-  result.work.pip_cell_tests = rc.cell_tests;
-  result.work.pip_edge_tests = rc.edge_tests;
-  result.work.pip_rows_scanned = rc.rows_scanned;
-  result.work.pip_run_cells = rc.run_cells;
-  result.work.cells_in_polygons = result.per_polygon.total();
-  return result;
+  const ZonalPlan plan = plan_zonal(
+      polygons, TilingScheme(raster.rows(), raster.cols(), config_.tile_size),
+      raster.transform());
+  return run_plan(*device_, config_, plan, raster, soa, workspace);
 }
 
 ZonalResult ZonalPipeline::run_partitioned(const DemRaster& raster,
@@ -154,16 +120,19 @@ ZonalResult ZonalPipeline::run(const BqCompressedRaster& compressed,
   ZH_REQUIRE(compressed.tiling().tile_size() == config_.tile_size,
              "compressed raster tiling does not match pipeline tile size");
   ZH_TRACE_SPAN("pipeline.run_compressed", "pipeline");
+  const ZonalPlan plan =
+      plan_zonal(polygons, compressed.tiling(), compressed.transform());
+  // Step 0: decode only the tiles the plan reads, in parallel (stand-in
+  // for the paper's on-device BQ-Tree decoding).
   Timer timer;
-  // Step 0: decode (tiles decoded in parallel; stand-in for the paper's
-  // on-device BQ-Tree decoding).
-  const DemRaster raster = compressed.decode_all();
+  const DemRaster raster = compressed.decode_tiles(plan.cell_tiles);
   const double decode_seconds = timer.seconds();
 
-  ZonalResult result = run(raster, polygons, workspace);
+  ZonalResult result = run_plan(*device_, config_, plan, raster,
+                                PolygonSoA::build(polygons), workspace);
   result.times.seconds[0] = decode_seconds;
+  result.work.tiles_decoded = plan.cell_tiles.size();
   result.work.compressed_bytes = compressed.compressed_bytes();
-  result.work.raw_bytes = compressed.raw_bytes();
   return result;
 }
 

@@ -1,8 +1,9 @@
 // The end-to-end zonal-histogramming pipeline (Fig. 1 of the paper).
 //
-// Orchestrates Steps 0-4 on a device, with per-step wall times (the
-// Table-2 breakdown) and work counters (input to the performance model
-// and the ablation benches).
+// Runs Steps 0-4 on a device through the filter-first executor
+// (core/executor), with per-step wall times (the Table-2 breakdown) and
+// work counters (input to the performance model and the ablation
+// benches).
 #pragma once
 
 #include <cstdint>
@@ -12,7 +13,7 @@
 #include "common/timer.hpp"
 #include "common/types.hpp"
 #include "core/histogram.hpp"
-#include "core/step1_tile_hist.hpp"
+#include "core/step1_tile_hist.hpp"  // IWYU pragma: export (step composers)
 #include "core/step2_pairing.hpp"
 #include "core/step4_refine.hpp"
 #include "device/device.hpp"
@@ -26,18 +27,20 @@ namespace zh {
 struct ZonalConfig {
   std::int64_t tile_size = 360;  ///< cells per tile edge (paper: 0.1 deg)
   BinIndex bins = 5000;          ///< histogram bins (paper: 5000)
-  CountMode count_mode = CountMode::kAtomic;
-  CellOrder cell_order = CellOrder::kRowMajor;  ///< Step-1 visitation
   RefineGranularity refine_granularity =
       RefineGranularity::kPolygonGroup;  ///< Step-4 block scheduling
   RefineStrategy refine_strategy =
-      RefineStrategy::kBrute;  ///< Step-4 cell classification path
+      RefineStrategy::kAuto;  ///< Step-4 cell classification path
 };
 
 /// Work accounting of one pipeline run; all quantities exact.
 struct WorkCounters {
-  std::uint64_t cells_total = 0;        ///< raster cells histogrammed (Step 1)
+  /// Raster cells the run covers (the Steps 0-1 input of PerfModel),
+  /// although Step 1 histograms only inside tiles; for QueryEngine, the
+  /// cells its cache fills counted.
+  std::uint64_t cells_total = 0;
   std::uint64_t tiles_total = 0;
+  std::uint64_t tiles_decoded = 0;      ///< BQ tiles Step 0 decoded
   std::uint64_t candidate_pairs = 0;    ///< MBB-rasterized pairs (Step 2)
   std::uint64_t pairs_inside = 0;
   std::uint64_t pairs_intersect = 0;
@@ -68,12 +71,13 @@ struct RunReport;
 /// by the zh-run-report-v1 schema (cells_total, pairs_inside, ...).
 void append_work_counters(obs::RunReport& report, const WorkCounters& work);
 
-/// Reusable scratch memory across pipeline runs. The per-tile histogram
-/// table is tiles x bins x 4 B -- ~1.4 GB for the largest CONUS raster
-/// at 5000 bins -- and allocating it fresh per run means re-faulting
-/// gigabytes each time (painfully slow on virtualized hosts). Passing
-/// one workspace to successive run() calls keeps the table resident, as
-/// the paper's implementation keeps it in device memory.
+/// Reusable scratch memory across pipeline runs. The Step-1 table is
+/// inside tiles x bins x 4 B -- up to ~1.4 GB for the largest CONUS
+/// raster at 5000 bins -- and allocating it fresh per run means
+/// re-faulting gigabytes each time (painfully slow on virtualized
+/// hosts). Passing one workspace to successive run() calls keeps the
+/// table resident, as the paper's implementation keeps it in device
+/// memory.
 struct ZonalWorkspace {
   HistogramSet tile_hist;
 };
@@ -88,14 +92,16 @@ class ZonalPipeline {
 
   [[nodiscard]] const ZonalConfig& config() const { return config_; }
 
-  /// Run Steps 1-4 on an uncompressed raster (Step 0 time = 0).
+  /// Run Steps 1-4 on an uncompressed raster (Step 0 time = 0). Only
+  /// tiles inside some polygon are histogrammed.
   [[nodiscard]] ZonalResult run(const DemRaster& raster,
                                 const PolygonSet& polygons,
                                 ZonalWorkspace* workspace = nullptr) const;
 
-  /// Run Steps 0-4: decode the BQ-Tree raster first (timed as Step 0),
-  /// then the zonal steps. The compressed raster's tiling must use this
-  /// pipeline's tile size.
+  /// Run Steps 0-4 from BQ-Tree input: plan, decode only the tiles the
+  /// plan reads (timed as Step 0; tiles outside every polygon stay
+  /// compressed), then the zonal steps. The compressed raster's tiling
+  /// must use this pipeline's tile size.
   [[nodiscard]] ZonalResult run(const BqCompressedRaster& compressed,
                                 const PolygonSet& polygons,
                                 ZonalWorkspace* workspace = nullptr) const;

@@ -1,41 +1,12 @@
 #include "core/query_engine.hpp"
 
-#include <algorithm>
-#include <atomic>
-
 #include "common/error.hpp"
 #include "common/timer.hpp"
-#include "core/step2_pairing.hpp"
-#include "core/step3_aggregate.hpp"
-#include "core/step4_refine.hpp"
-#include "device/thread_pool.hpp"
+#include "core/executor.hpp"
 #include "geom/soa.hpp"
 #include "obs/obs.hpp"
 
 namespace zh {
-
-namespace {
-
-/// Histogram one tile window exactly as CellAggrKernel does: skip
-/// nodata, fold out-of-range values into the top bin. Counts are
-/// order-independent, so this sequential scan is bit-identical to the
-/// strided/Morton device variants.
-std::vector<BinCount> fill_tile_histogram(const DemRaster& raster,
-                                          const CellWindow& w, BinIndex bins,
-                                          std::uint64_t& clamped) {
-  std::vector<BinCount> hist(static_cast<std::size_t>(bins), 0);
-  const std::optional<CellValue> nodata = raster.nodata();
-  for (std::int64_t r = w.row0; r < w.row0 + w.rows; ++r) {
-    for (std::int64_t c = w.col0; c < w.col0 + w.cols; ++c) {
-      const CellValue v = raster.at(r, c);
-      if (nodata && v == *nodata) continue;
-      ++hist[bin_index(v, bins, clamped)];
-    }
-  }
-  return hist;
-}
-
-}  // namespace
 
 QueryEngine::QueryEngine(Device& device, QueryEngineConfig config)
     : device_(&device), config_(config), cache_(config.cache) {
@@ -59,115 +30,27 @@ QueryResult QueryEngine::run(const ZonalQuery& query) {
   const CatalogEntry& entry = rasters_[query.raster];
   const DemRaster& raster = *entry.raster;
   const PolygonSet& zones = *query.zones;
-  const BinIndex bins = query.bins;
-  const TilingScheme tiling(raster.rows(), raster.cols(), config_.tile_size);
-  const std::uint64_t binning_fp = fingerprint_binning(config_.tile_size, bins);
+  const ZonalConfig config{.tile_size = config_.tile_size, .bins = query.bins};
   const TileCacheStats before = cache_.stats();
-
-  QueryResult result;
-  result.per_polygon = HistogramSet(zones.size(), bins);
-  result.work.tiles_total = tiling.tile_count();
-  result.work.polygon_vertices = zones.vertex_count();
-  result.work.raw_bytes =
-      static_cast<std::uint64_t>(raster.cell_count()) * sizeof(CellValue);
   Timer total;
-  Timer timer;
 
-  // Step 2 first (zone-dependent, never cached): the pairing tells us
-  // which tiles this query actually demands histograms for.
-  const PairingResult pairing = [&] {
-    ZH_TRACE_SPAN("query.step2_pairing", "query");
-    return pair_and_group(zones, tiling, raster.transform());
-  }();
-  result.times.seconds[2] = timer.seconds();
-  ZH_LATENCY_RECORD("latency.step2", result.times.seconds[2]);
-  result.work.candidate_pairs = pairing.candidate_pairs;
-  result.work.pairs_inside = pairing.inside.pair_count();
-  result.work.pairs_intersect = pairing.intersect.pair_count();
-
-  // Demanded tiles, compacted: slot i of the Step-3 table is the i-th
-  // distinct tile referenced by an inside pair (lazy-pipeline idiom).
-  constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> hist_slot(tiling.tile_count(), kNoSlot);
-  std::vector<TileId> hist_tiles;
-  for (const TileId t : pairing.inside.tid_v) {
-    if (hist_slot[t] == kNoSlot) {
-      hist_slot[t] = static_cast<std::uint32_t>(hist_tiles.size());
-      hist_tiles.push_back(t);
-    }
-  }
-
-  // Step 1 through the cache: fills run once per (raster, tile, binning)
-  // across every query this engine has ever served; hits are a pointer
-  // copy. The compact table is then assembled from the shared rows.
-  timer.reset();
-  HistogramSet tile_hist(hist_tiles.size(), bins);
-  std::atomic<std::uint64_t> clamped_values{0};
-  std::atomic<std::uint64_t> cells_filled{0};
-  {
-    ZH_TRACE_SPAN("query.step1_cache", "query");
-    std::vector<TileHistPtr> rows(hist_tiles.size());
-    ThreadPool::global().parallel_for(
-        hist_tiles.size(), [&](std::size_t b, std::size_t e) {
-          std::uint64_t clamped = 0;
-          std::uint64_t filled = 0;
-          for (std::size_t i = b; i < e; ++i) {
-            const TileId tile = hist_tiles[i];
-            const TileHistKey key{.raster_fp = entry.fingerprint,
-                                  .band = 0,
-                                  .tile = tile,
-                                  .binning_fp = binning_fp};
-            rows[i] = cache_.get_or_fill(key, [&]() {
-              const CellWindow w = tiling.tile_window(tile);
-              filled += static_cast<std::uint64_t>(w.cell_count());
-              return fill_tile_histogram(raster, w, bins, clamped);
-            });
-          }
-          clamped_values.fetch_add(clamped, std::memory_order_relaxed);
-          cells_filled.fetch_add(filled, std::memory_order_relaxed);
-        });
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      ZH_ASSERT(rows[i] != nullptr && rows[i]->size() ==
-                                          static_cast<std::size_t>(bins),
-                "cached tile histogram has wrong bin count");
-      std::copy(rows[i]->begin(), rows[i]->end(), tile_hist.of(i).begin());
-    }
-  }
-  note_values_clamped(clamped_values.load());
-  result.work.cells_total = cells_filled.load();
-  result.times.seconds[1] = timer.seconds();
-  ZH_LATENCY_RECORD("latency.step1", result.times.seconds[1]);
-
-  // Step 3 on the compact table: remap tile ids to table slots.
-  timer.reset();
-  {
-    ZH_TRACE_SPAN("query.step3_aggregate", "query");
-    PolygonTileGroups inside = pairing.inside;
-    for (TileId& t : inside.tid_v) t = hist_slot[t];
-    aggregate_inside_tiles(*device_, inside, tile_hist, result.per_polygon);
-  }
-  result.times.seconds[3] = timer.seconds();
-  ZH_LATENCY_RECORD("latency.step3", result.times.seconds[3]);
-  result.work.aggregate_bin_adds =
-      static_cast<std::uint64_t>(pairing.inside.pair_count()) * bins;
-
-  // Step 4 unchanged: boundary refinement against the raw raster.
-  timer.reset();
-  const RefineCounters rc = [&] {
-    ZH_TRACE_SPAN("query.step4_refine", "query");
-    const PolygonSoA soa = PolygonSoA::build(zones);
-    return refine_boundary_tiles(*device_, pairing.intersect, soa, raster,
-                                 tiling, result.per_polygon,
-                                 config_.refine_granularity,
-                                 config_.refine_strategy);
-  }();
-  result.times.seconds[4] = timer.seconds();
-  ZH_LATENCY_RECORD("latency.step4", result.times.seconds[4]);
-  result.work.pip_cell_tests = rc.cell_tests;
-  result.work.pip_edge_tests = rc.edge_tests;
-  result.work.pip_rows_scanned = rc.rows_scanned;
-  result.work.pip_run_cells = rc.run_cells;
-  result.work.cells_in_polygons = result.per_polygon.total();
+  // Step 2 first (zone-dependent, never cached): the plan names the
+  // tiles this query demands histograms for, and Step 1 fills them
+  // through the cache once per (raster, tile, binning) across every
+  // query this engine has ever served.
+  const ZonalPlan plan = plan_zonal(
+      zones, TilingScheme(raster.rows(), raster.cols(), config_.tile_size),
+      raster.transform());
+  const CachedTiles cached{.cache = &cache_, .raster_fp = entry.fingerprint};
+  ZonalWorkspace ws;
+  ZonalResult r = execute_plan(*device_, plan, raster,
+                               PolygonSoA::build(zones), config, ws, &cached);
+  QueryResult result;
+  result.per_polygon = std::move(r.per_polygon);
+  result.times = plan.times;
+  result.times += r.times;
+  result.work = plan.work;
+  result.work += r.work;
 
   // Per-query cache deltas. Exact when queries run one at a time (the
   // run_batch contract); under caller-driven concurrency they include

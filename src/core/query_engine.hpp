@@ -30,10 +30,8 @@ namespace zh {
 
 struct QueryEngineConfig {
   /// Tile edge shared by every query (part of the cache binning key).
+  /// Step 4 runs ZonalConfig's defaults.
   std::int64_t tile_size = 360;
-  /// Step-4 defaults applied when a query leaves them unset.
-  RefineGranularity refine_granularity = RefineGranularity::kPolygonGroup;
-  RefineStrategy refine_strategy = RefineStrategy::kBrute;
   TileCacheConfig cache;
 };
 

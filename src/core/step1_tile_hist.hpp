@@ -1,10 +1,15 @@
-// Step 1: per-tile histogram generation (Sec. III.A, Fig. 2).
+// Step 1 as published: per-tile histograms of every tile (Sec. III.A,
+// Fig. 2).
 //
 // One device block per raster tile; the block's virtual threads zero the
 // tile's bins, then stride over the tile's cells updating bins with
 // atomic adds -- the structure of the paper's CellAggrKernel. Cells equal
 // to the raster's nodata value are skipped; values >= bins clamp into the
 // top bin (the paper assumes v < B; the clamp makes the API total).
+//
+// The pipelines run Step 1 through core/executor instead (inside tiles
+// only, one plain loop per tile, identical counts). This faithful kernel
+// stays for the count-mode and cell-order ablations.
 #pragma once
 
 #include "common/types.hpp"

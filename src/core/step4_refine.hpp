@@ -46,10 +46,12 @@ enum class RefineGranularity : std::uint8_t {
   kPolygonTile,
 };
 
-/// Cell-classification strategy of the refinement kernel. kAuto picks
-/// per launch from the measured edges-per-pair density: scanline wins
-/// once sorting a row's few intercepts beats testing every edge for
-/// every cell (see DESIGN.md, "Refinement strategies").
+/// Cell-classification strategy of the refinement kernel. kAuto (the
+/// library default) picks per launch from the measured edges-per-pair
+/// density: scanline wins once sorting a row's few intercepts beats
+/// testing every edge for every cell (see DESIGN.md, "Refinement
+/// strategies"). Benches that feed PerfModel pin kBrute, whose edge
+/// tests the model is calibrated on.
 enum class RefineStrategy : std::uint8_t {
   kBrute,
   kScanline,
@@ -76,6 +78,6 @@ RefineCounters refine_boundary_tiles(
     const PolygonSoA& soa, const DemRaster& raster,
     const TilingScheme& tiling, HistogramSet& polygon_hist,
     RefineGranularity granularity = RefineGranularity::kPolygonGroup,
-    RefineStrategy strategy = RefineStrategy::kBrute);
+    RefineStrategy strategy = RefineStrategy::kAuto);
 
 }  // namespace zh

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <vector>
 
 #include "common/crc32.hpp"
@@ -17,9 +18,9 @@ namespace {
 
 constexpr std::array<char, 4> kMagic = {'Z', 'B', 'Q', 'F'};
 constexpr std::array<char, 4> kLegacyMagic = {'Z', 'B', 'Q', '1'};
-constexpr std::uint32_t kVersion = 2;
-/// rows + cols + tile_size + 4 doubles + tile count.
-constexpr std::size_t kHeaderBytes = 3 * 8 + 4 * 8 + 8;
+constexpr std::uint32_t kVersion = 3;
+/// Oldest version still read: the same layout without the nodata fields.
+constexpr std::uint32_t kMinVersion = 2;
 /// Fixed bytes per tile record before the variable payload.
 constexpr std::uintmax_t kTileRecordBytes = 4 + 4 + 2 + 4;
 
@@ -104,6 +105,9 @@ void write_bq(const std::string& path, const BqCompressedRaster& raster) {
   header.pod(raster.transform().cell_w());
   header.pod(raster.transform().cell_h());
   header.pod(static_cast<std::uint64_t>(tiling.tile_count()));
+  const std::optional<CellValue> nodata = raster.nodata();
+  header.pod(static_cast<std::uint8_t>(nodata.has_value() ? 1 : 0));
+  header.pod(nodata.value_or(CellValue{0}));
   write_pod(os, header.crc());
 
   CrcWriter body(os);
@@ -136,8 +140,10 @@ BqCompressedRaster read_bq(const std::string& path) {
   std::uint32_t version{};
   is.read(reinterpret_cast<char*>(&version), sizeof(version));
   ZH_REQUIRE_IO(is.good(), "unexpected end of bq stream in ", path);
-  ZH_REQUIRE_IO(version == kVersion, "unsupported bq version ", version,
-                " in ", path, " (this build reads version ", kVersion, ")");
+  ZH_REQUIRE_IO(version >= kMinVersion && version <= kVersion,
+                "unsupported bq version ", version, " in ", path,
+                " (this build reads versions ", kMinVersion, "-", kVersion,
+                ")");
 
   CrcReader header(is, path);
   const auto rows = header.pod<std::int64_t>();
@@ -148,6 +154,13 @@ BqCompressedRaster read_bq(const std::string& path) {
   const auto cw = header.pod<double>();
   const auto ch = header.pod<double>();
   const auto count = header.pod<std::uint64_t>();
+  std::optional<CellValue> nodata;
+  std::uint8_t has_nodata = 0;
+  if (version >= 3) {
+    has_nodata = header.pod<std::uint8_t>();
+    const auto value = header.pod<CellValue>();
+    if (has_nodata == 1) nodata = value;
+  }
   const auto header_crc = [&] {
     std::uint32_t v{};
     is.read(reinterpret_cast<char*>(&v), sizeof(v));
@@ -158,6 +171,7 @@ BqCompressedRaster read_bq(const std::string& path) {
                 path, " (corrupted or truncated file)");
   ZH_REQUIRE_IO(rows >= 0 && cols >= 0 && tile_size > 0,
                 "bad bq header dims in ", path);
+  ZH_REQUIRE_IO(has_nodata <= 1, "bad bq nodata flag in ", path);
   ZH_REQUIRE_IO(cw > 0 && ch > 0, "bad bq geotransform in ", path);
   const TilingScheme tiling(rows, cols, tile_size);
   ZH_REQUIRE_IO(count == tiling.tile_count(),
@@ -189,9 +203,8 @@ BqCompressedRaster read_bq(const std::string& path) {
   }();
   ZH_REQUIRE_IO(body.crc() == payload_crc, "bq payload CRC mismatch in ",
                 path, " (corrupted tile data)");
-  return BqCompressedRaster::from_tiles(tiling,
-                                        GeoTransform(ox, oy, cw, ch),
-                                        std::move(tiles));
+  return BqCompressedRaster::from_tiles(
+      tiling, GeoTransform(ox, oy, cw, ch), std::move(tiles), nodata);
 }
 
 }  // namespace zh

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "core/lazy_pipeline.hpp"
 #include "io/bq_file.hpp"
 #include "io/vector_io.hpp"
 
@@ -92,7 +91,7 @@ Catalog open_catalog(const std::string& directory) {
 }
 
 CatalogRunResult run_catalog(Device& device, const Catalog& catalog,
-                             const ZonalConfig& config, bool lazy) {
+                             const ZonalConfig& config) {
   const PolygonSet zones = read_polygon_tsv(catalog.zones_path());
 
   CatalogRunResult result;
@@ -104,9 +103,7 @@ CatalogRunResult run_catalog(Device& device, const Catalog& catalog,
     const std::string path = catalog.raster_path(i);
     result.bytes_read += fs::file_size(path);
     const BqCompressedRaster compressed = read_bq(path);
-    const ZonalResult r =
-        lazy ? run_lazy(device, compressed, zones, config)
-             : pipeline.run(compressed, zones, &workspace);
+    const ZonalResult r = pipeline.run(compressed, zones, &workspace);
     result.per_polygon.add(r.per_polygon);
     result.times += r.times;
     result.work += r.work;

@@ -55,12 +55,12 @@ struct CatalogRunResult {
   std::size_t rasters_processed = 0;
 };
 
-/// Stream every raster of the catalog through the pipeline (filter-first
-/// lazy execution when `lazy`), merging per-zone histograms. Rasters are
-/// loaded one at a time: peak memory is one raster, not the dataset.
+/// Stream every raster of the catalog through the pipeline, merging
+/// per-zone histograms; only tiles some zone touches are decoded.
+/// Rasters are loaded one at a time: peak memory is one raster, not the
+/// dataset.
 [[nodiscard]] CatalogRunResult run_catalog(Device& device,
                                            const Catalog& catalog,
-                                           const ZonalConfig& config,
-                                           bool lazy = true);
+                                           const ZonalConfig& config);
 
 }  // namespace zh

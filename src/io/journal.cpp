@@ -430,7 +430,9 @@ std::uint64_t fingerprint_config(
   }
   h = mix_u64(h, static_cast<std::uint64_t>(zonal.tile_size));
   h = mix_u64(h, zonal.bins);
-  h = mix_u64(h, static_cast<std::uint64_t>(zonal.count_mode));
+  // Former Step-1 count mode, always kAtomic (0) in journals written
+  // before the executor; mixed as a literal so those journals resume.
+  h = mix_u64(h, 0);
   h = mix_u64(h, compress ? 1 : 0);
   return h;
 }

@@ -147,7 +147,9 @@ class JournalWriter final : public CheckpointSink {
     const std::vector<DemRaster>& rasters);
 [[nodiscard]] std::uint64_t fingerprint_zones(const PolygonSet& polygons);
 /// Result-affecting configuration only: partition schemas, tile size,
-/// bins, count mode, compression. Rank count and refine strategy are
+/// bins, compression (plus a constant where the removed Step-1 count
+/// mode was, so older journals keep their fingerprint). Rank count and
+/// refine strategy are
 /// excluded -- the pipeline's bit-identity invariants make them
 /// resume-safe.
 [[nodiscard]] std::uint64_t fingerprint_config(

@@ -31,7 +31,9 @@ struct LatencyBuckets {
 };
 
 struct Slot {
-  std::atomic<std::uint64_t> count{0};  ///< counter/gauge value; stat count
+  /// Counter/gauge value; stat count. Unused by kLatency, whose count
+  /// is its bucket sum.
+  std::atomic<std::uint64_t> count{0};
   std::atomic<double> sum{0.0};
   std::atomic<double> min{std::numeric_limits<double>::infinity()};
   std::atomic<double> max{-std::numeric_limits<double>::infinity()};
@@ -109,7 +111,9 @@ void merge_slot(const Meta& meta, const Slot& slot, Totals& into) {
       break;
     }
     case MetricKind::kLatency: {
-      into.count += c;
+      // The buckets are the only count: a series' count is the sum of
+      // the bucket loads, so a mid-run snapshot can never show a count
+      // that disagrees with its buckets.
       into.sum += slot.sum.load(std::memory_order_relaxed);
       const double mn = slot.min.load(std::memory_order_relaxed);
       const double mx = slot.max.load(std::memory_order_relaxed);
@@ -118,8 +122,10 @@ void merge_slot(const Meta& meta, const Slot& slot, Totals& into) {
       if (slot.latency != nullptr) {
         if (into.latency.empty()) into.latency.assign(kLatencyBucketCount, 0);
         for (std::size_t i = 0; i < kLatencyBucketCount; ++i) {
-          into.latency[i] +=
+          const std::uint64_t n =
               slot.latency->counts[i].load(std::memory_order_relaxed);
+          into.latency[i] += n;
+          into.count += n;
         }
       }
       break;
@@ -245,7 +251,6 @@ void latency_record(MetricId id, double seconds) {
   const double v = std::isnan(seconds) ? 0.0 : seconds;
   s.latency->counts[latency_bucket_index(seconds)].fetch_add(
       1, std::memory_order_relaxed);
-  s.count.fetch_add(1, std::memory_order_relaxed);
   atomic_add_double(s.sum, v);
   atomic_min_double(s.min, v);
   atomic_max_double(s.max, v);

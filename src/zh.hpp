@@ -20,9 +20,9 @@
 #include "core/baseline.hpp"               // IWYU pragma: export
 #include "core/checkpoint.hpp"             // IWYU pragma: export
 #include "core/cluster_driver.hpp"         // IWYU pragma: export
+#include "core/executor.hpp"               // IWYU pragma: export
 #include "core/histogram.hpp"              // IWYU pragma: export
 #include "core/hybrid.hpp"                 // IWYU pragma: export
-#include "core/lazy_pipeline.hpp"          // IWYU pragma: export
 #include "core/load_balance.hpp"           // IWYU pragma: export
 #include "core/multiband.hpp"              // IWYU pragma: export
 #include "core/perf_model.hpp"             // IWYU pragma: export

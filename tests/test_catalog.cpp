@@ -47,7 +47,7 @@ TEST_F(CatalogTest, WriteOpenRoundTrip) {
   EXPECT_EQ(read_polygon_tsv(catalog.zones_path()).size(), zones.size());
 }
 
-TEST_F(CatalogTest, RunMatchesInMemoryReferenceBothModes) {
+TEST_F(CatalogTest, RunMatchesInMemoryReference) {
   const DemRaster a = generate_dem(
       64, 64, GeoTransform(0.0, 6.4, 0.1, 0.1), {.max_value = 99});
   const DemRaster b = generate_dem(
@@ -64,13 +64,11 @@ TEST_F(CatalogTest, RunMatchesInMemoryReferenceBothModes) {
   expect.add(zonal_mbb_filter(a, zones, 100));
   expect.add(zonal_mbb_filter(b, zones, 100));
 
-  for (const bool lazy : {true, false}) {
-    const CatalogRunResult r = run_catalog(
-        dev, catalog, {.tile_size = 8, .bins = 100}, lazy);
-    EXPECT_EQ(r.per_polygon, expect) << "lazy=" << lazy;
-    EXPECT_EQ(r.rasters_processed, 2u);
-    EXPECT_GT(r.bytes_read, 0u);
-  }
+  const CatalogRunResult r =
+      run_catalog(dev, catalog, {.tile_size = 8, .bins = 100});
+  EXPECT_EQ(r.per_polygon, expect);
+  EXPECT_EQ(r.rasters_processed, 2u);
+  EXPECT_GT(r.bytes_read, 0u);
 }
 
 TEST_F(CatalogTest, MalformedManifestsThrow) {

@@ -152,7 +152,8 @@ TEST(DeviceProfiles, PipelineKernelsAppearInProfile) {
   EXPECT_TRUE(profiles.count("CellAggrKernel"));
   EXPECT_TRUE(profiles.count("UpdateHistKernel"));
   EXPECT_TRUE(profiles.count("pip_test_kernel"));
-  EXPECT_EQ(profiles.at("CellAggrKernel").blocks, 25u);  // 5x5 tiles
+  // Step 1 runs only on the 3x3 tiles inside the zone, of 5x5.
+  EXPECT_EQ(profiles.at("CellAggrKernel").blocks, 9u);
 }
 
 }  // namespace

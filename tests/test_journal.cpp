@@ -426,6 +426,18 @@ TEST_F(JournalFile, FingerprintsSeeEveryInput) {
   EXPECT_EQ(fp, fingerprint_config(schemas, changed, false));
 }
 
+TEST(JournalFingerprint, ConfigFingerprintIsStableAcrossReleases) {
+  // Values computed by the release whose ZonalConfig still carried a
+  // Step-1 count mode (always kAtomic): journals it wrote must resume.
+  const std::vector<std::pair<int, int>> schemas = {{2, 3}, {1, 1}};
+  EXPECT_EQ(fingerprint_config(schemas, {.tile_size = 360, .bins = 5000},
+                               false),
+            749197165262426498ull);
+  EXPECT_EQ(fingerprint_config(schemas, {.tile_size = 100, .bins = 256},
+                               true),
+            17948016870443634294ull);
+}
+
 TEST_F(JournalFile, MakeManifestAgreesWithDriverPartitioning) {
   std::vector<DemRaster> rasters;
   rasters.push_back(

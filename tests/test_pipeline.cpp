@@ -6,6 +6,8 @@
 
 #include "core/baseline.hpp"
 #include "core/pipeline.hpp"
+#include "core/step1_tile_hist.hpp"
+#include "core/step3_aggregate.hpp"
 #include "data/county_synth.hpp"
 #include "data/dem_synth.hpp"
 #include "test_util.hpp"
@@ -172,17 +174,27 @@ TEST(Pipeline, RejectsBadConfig) {
 }
 
 TEST(Pipeline, PrivatizedCountModeGivesSameResult) {
+  // The pipeline's inside-tiles-only Step 1 against the paper's
+  // all-tiles composition with the privatized Step-1 kernel.
   Device dev;
-  const DemRaster raster = test::random_raster(
+  DemRaster raster = test::random_raster(
       50, 50, 13, 29, GeoTransform(0.0, 5.0, 0.1, 0.1));
+  raster.set_nodata(CellValue{7});
   const PolygonSet polys =
       test::random_polygon_set(6, GeoBox{0.5, 0.5, 4.5, 4.5}, 5, true);
-  const ZonalPipeline a(dev, {.tile_size = 10, .bins = 30,
-                              .count_mode = CountMode::kAtomic});
-  const ZonalPipeline b(dev, {.tile_size = 10, .bins = 30,
-                              .count_mode = CountMode::kPrivatized});
-  EXPECT_EQ(a.run(raster, polys).per_polygon,
-            b.run(raster, polys).per_polygon);
+  const TilingScheme tiling(50, 50, 10);
+  const HistogramSet tile_hist = tile_histograms(
+      dev, raster, tiling, 30, CountMode::kPrivatized);
+  const PairingResult pairing =
+      pair_and_group(polys, tiling, raster.transform());
+  HistogramSet expect(polys.size(), 30);
+  aggregate_inside_tiles(dev, pairing.inside, tile_hist, expect);
+  (void)refine_boundary_tiles(dev, pairing.intersect,
+                              PolygonSoA::build(polys), raster, tiling,
+                              expect);
+
+  const ZonalPipeline pipe(dev, {.tile_size = 10, .bins = 30});
+  EXPECT_EQ(pipe.run(raster, polys).per_polygon, expect);
 }
 
 }  // namespace

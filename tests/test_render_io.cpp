@@ -3,14 +3,21 @@
 
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
+#include "common/crc32.hpp"
+#include "core/baseline.hpp"
+#include "core/pipeline.hpp"
 #include "core/rasterize.hpp"
 #include "data/dem_synth.hpp"
 #include "geom/pip.hpp"
+#include "io/ascii_grid.hpp"
 #include "io/bq_file.hpp"
 #include "io/render.hpp"
+#include "io/zgrid.hpp"
 #include "test_util.hpp"
 
 namespace zh {
@@ -122,6 +129,62 @@ TEST_F(BqFileTest, RoundTripPreservesEverything) {
   const DemRaster decoded = back.decode_all();
   EXPECT_TRUE(std::equal(decoded.cells().begin(), decoded.cells().end(),
                          dem.cells().begin()));
+}
+
+TEST_F(BqFileTest, AsciiGridNodataSurvivesCompression) {
+  // 40x40 .asc with NODATA_value 7 (every 7 in the data is nodata) and
+  // one square zone: the raw run, the .bq run and the decode round trip
+  // must agree, with no nodata cell counted.
+  DemRaster dem = test::random_raster(40, 40, 11, 9,
+                                      GeoTransform(0.0, 4.0, 0.1, 0.1));
+  dem.set_nodata(CellValue{7});
+  const std::string asc = (dir_ / "a.asc").string();
+  write_ascii_grid(asc, dem);
+  const DemRaster raster = read_ascii_grid(asc);
+  ASSERT_EQ(raster.nodata(), std::optional<CellValue>{7});
+
+  const std::string bq = (dir_ / "a.bq").string();
+  write_bq(bq, BqCompressedRaster::encode(raster, 8));
+  const BqCompressedRaster back = read_bq(bq);
+  EXPECT_EQ(back.nodata(), raster.nodata());
+  const std::string zgrid = (dir_ / "rt.zgrid").string();
+  write_zgrid(zgrid, back.decode_all());
+  EXPECT_EQ(read_zgrid(zgrid), raster);
+
+  PolygonSet zones;
+  zones.add(Polygon({{{0.3, 0.3}, {3.7, 0.3}, {3.7, 3.7}, {0.3, 3.7}}}));
+  Device dev;
+  const ZonalPipeline pipe(dev, {.tile_size = 8, .bins = 10});
+  const ZonalResult raw = pipe.run(raster, zones);
+  EXPECT_EQ(pipe.run(back, zones).per_polygon, raw.per_polygon);
+  EXPECT_EQ(raw.per_polygon, zonal_naive(raster, zones, 10));
+  EXPECT_EQ(raw.per_polygon.of(0)[7], 0u);
+}
+
+TEST_F(BqFileTest, Version2FileLoadsWithoutNodata) {
+  // A version-2 file is a version-3 file without the three nodata bytes
+  // at the end of the header blob (header CRC recomputed).
+  const DemRaster dem = test::random_raster(20, 14, 9, 255);
+  const std::string v3 = (dir_ / "v3.bq").string();
+  write_bq(v3, BqCompressedRaster::encode(dem, 8));
+  std::ifstream is(v3, std::ios::binary);
+  std::vector<char> bytes((std::istreambuf_iterator<char>(is)),
+                          std::istreambuf_iterator<char>());
+  constexpr std::size_t kBlob = 8;  // after magic + version
+  constexpr std::size_t kV2Header = 3 * 8 + 4 * 8 + 8;
+  ASSERT_GT(bytes.size(), kBlob + kV2Header + 3 + 4);
+  bytes[4] = 2;
+  bytes.erase(bytes.begin() + kBlob + kV2Header,
+              bytes.begin() + kBlob + kV2Header + 3);
+  const std::uint32_t crc = crc32(bytes.data() + kBlob, kV2Header);
+  std::memcpy(bytes.data() + kBlob + kV2Header, &crc, sizeof(crc));
+  const std::string v2 = (dir_ / "v2.bq").string();
+  std::ofstream(v2, std::ios::binary)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+
+  const BqCompressedRaster back = read_bq(v2);
+  EXPECT_FALSE(back.nodata().has_value());
+  EXPECT_EQ(back.decode_all(), dem);
 }
 
 TEST_F(BqFileTest, PpmRoundTripHeader) {

@@ -6,6 +6,7 @@
 #   tools/check.sh dev          # RelWithDebInfo + -Werror + full ctest + zh-lint
 #   tools/check.sh asan         # Debug + ASan/UBSan + full ctest
 #   tools/check.sh tsan         # Debug + TSan + concurrency test suites
+#   tools/check.sh repeat       # concurrency suites x200 (dev) and x20 (TSan)
 #   tools/check.sh faults       # fault-injection suites (dev + asan-ubsan)
 #   tools/check.sh resume       # kill/resume soak: abort-point sweep + journal fuzz
 #   tools/check.sh query        # batch query engine: cache bit-identity + speedup gate
@@ -29,7 +30,13 @@ CTEST_PARALLEL="${CTEST_PARALLEL:-${JOBS}}"
 # fault-injection and timeout/heartbeat paths), the Step-4 refinement
 # strategies (parallel edge-index build + scanline kernels), and the
 # stress mix.
-TSAN_FILTER='*ThreadPool*:*Primitive*:*Comm*:*Partition*:*Cluster*:*Stress*:*Device*:*Fault*:*Obs*:*Refine*:*Checkpoint*:*TraceCausal*:*TileCache*:*QueryEngine*'
+TSAN_FILTER='*ThreadPool*:*Primitive*:*Comm*:*Partition*:*Cluster*:*Stress*:*Device*:*Fault*:*Obs*:*Refine*:*Checkpoint*:*TraceCausal*:*TileCache*:*QueryEngine*:*Executor*'
+
+# Suites whose concurrency invariants (torn metric snapshots, cache
+# accounting, fork-join, causal flows, comm retries, executor bit
+# identity) must hold on every run, not on most: repeated by the repeat
+# stage.
+REPEAT_FILTER='*Obs*:*TileCache*:*ThreadPool*:*TraceCausal*:*Comm*:*Executor*'
 
 # Fault-tolerance suites: deterministic fault injection, timeout/retry,
 # straggler recovery, corruption-detecting I/O, the parser corpus, and
@@ -110,6 +117,18 @@ run_tsan() {
   TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
     ./build-tsan/tests/zh_tests --gtest_filter="${TSAN_FILTER}" \
     --gtest_brief=1
+}
+
+run_repeat() {
+  configure_and_build dev
+  log "repeated concurrency suites x200 (dev)"
+  ./build-dev/tests/zh_tests --gtest_filter="${REPEAT_FILTER}" \
+    --gtest_repeat=200 --gtest_brief=1
+  configure_and_build tsan
+  log "repeated concurrency suites x20 (tsan)"
+  TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
+    ./build-tsan/tests/zh_tests --gtest_filter="${REPEAT_FILTER}" \
+    --gtest_repeat=20 --gtest_brief=1
 }
 
 run_faults() {
@@ -519,6 +538,7 @@ for stage in "${stages[@]}"; do
     dev) run_dev ;;
     asan | asan-ubsan) run_asan ;;
     tsan) run_tsan ;;
+    repeat) run_repeat ;;
     faults) run_faults ;;
     resume) run_resume ;;
     query) run_query ;;
@@ -526,7 +546,7 @@ for stage in "${stages[@]}"; do
     lint) run_lint ;;
     tidy) run_tidy ;;
     *)
-      echo "unknown stage '${stage}' (expected: dev asan tsan faults resume query obs lint tidy)" >&2
+      echo "unknown stage '${stage}' (expected: dev asan tsan repeat faults resume query obs lint tidy)" >&2
       exit 2
       ;;
   esac

@@ -197,7 +197,7 @@ int check_metrics(const std::string& path, long require_ranks) {
     // Validated families: every counter the code emits under these
     // prefixes is listed here, so a typo'd or renamed counter fails
     // instead of slipping through as a new unvalidated key. Families
-    // not listed (step1.*, lazy.*, ...) stay open for growth.
+    // not listed (step1.*, bqtree.*, ...) stay open for growth.
     static const char* const kKnownCounters[] = {
         "journal.resume_ms",       "journal.torn_bytes",
         "journal.records_written", "journal.partitions_skipped",

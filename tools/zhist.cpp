@@ -27,8 +27,9 @@
 //     Douglas-Peucker generalization of a zone layer.
 //   zhist validate <zones.tsv>
 //     Geometry validity report.
-//   zhist catalog <dir> [-o hist.csv] [--bins N] [--tile N] [--eager]
-//     Out-of-core run over a catalog directory.
+//   zhist catalog <dir> [-o hist.csv] [--bins N] [--tile N]
+//     Out-of-core run over a catalog directory (only tiles some zone
+//     touches are decoded).
 //   zhist query --batch spec.json [--tile N] [--cache-budget-mb N]
 //     Multi-query batch through the QueryEngine: rasters load once, and
 //     Step-1 tile histograms are shared across queries via the tile
@@ -91,7 +92,6 @@ struct Args {
   std::uint64_t seed = 42;
   std::int64_t max_edge = 1024;
   double eps = 0.0;
-  bool eager = false;
   std::size_t ranks = 1;
   std::string fault_plan;
   std::string checkpoint_dir;  ///< durable run-journal directory
@@ -152,8 +152,6 @@ Args parse(int argc, char** argv) {
       args.max_edge = std::stoll(next());
     } else if (a == "--eps") {
       args.eps = std::stod(next());
-    } else if (a == "--eager") {
-      args.eager = true;
     } else if (a == "--ranks") {
       args.ranks = static_cast<std::size_t>(std::stoull(next()));
     } else if (a == "--fault-plan") {
@@ -589,13 +587,10 @@ int cmd_catalog(const Args& args) {
   Device device;
   Timer timer;
   const CatalogRunResult r = run_catalog(
-      device, catalog, {.tile_size = args.tile, .bins = args.bins},
-      !args.eager);
-  std::fprintf(stderr,
-               "%zu rasters, %.1f MB read, %.2f s (%s pipeline)\n",
+      device, catalog, {.tile_size = args.tile, .bins = args.bins});
+  std::fprintf(stderr, "%zu rasters, %.1f MB read, %.2f s\n",
                r.rasters_processed,
-               static_cast<double>(r.bytes_read) / 1e6, timer.seconds(),
-               args.eager ? "eager" : "filter-first");
+               static_cast<double>(r.bytes_read) / 1e6, timer.seconds());
   if (!args.out.empty()) {
     write_histogram_csv(args.out, r.per_polygon);
     std::fprintf(stderr, "wrote %s\n", args.out.c_str());
