@@ -10,6 +10,7 @@
 #include "common/timer.hpp"
 #include "data/dem_synth.hpp"
 #include "device/device.hpp"
+#include "device/thread_pool.hpp"
 
 int main() {
   using namespace zh;
@@ -36,8 +37,23 @@ int main() {
   Timer dec;
   const DemRaster back = comp.decode_all();
   const double dec_s = dec.seconds();
-  std::printf("  decode:          %10.2f s   (%.0f Mcells/s)\n", dec_s,
-              static_cast<double>(dem.cell_count()) / dec_s / 1e6);
+  std::printf("  decode_all:      %10.2f s   (%.0f Mcells/s, %zu-worker "
+              "pool)\n",
+              dec_s, static_cast<double>(dem.cell_count()) / dec_s / 1e6,
+              ThreadPool::global().size());
+
+  // The codec alone: every tile through bq_decode on this thread, into
+  // one reused tile buffer (no raster assembly, no pool).
+  std::vector<CellValue> tile_cells;
+  Timer codec;
+  for (TileId id = 0; id < comp.tiling().tile_count(); ++id) {
+    tile_cells.resize(
+        static_cast<std::size_t>(comp.tiling().tile_window(id).cell_count()));
+    comp.decode_tile(id, tile_cells);
+  }
+  const double codec_s = codec.seconds();
+  std::printf("  decode codec:    %10.2f s   (%.0f Mcells/s, 1 thread)\n",
+              codec_s, static_cast<double>(dem.cell_count()) / codec_s / 1e6);
   std::printf("  roundtrip exact: %s\n",
               std::equal(back.cells().begin(), back.cells().end(),
                          dem.cells().begin())

@@ -10,6 +10,8 @@
 //   00 all-zero quadrant     01 all-one quadrant     10 mixed
 // A mixed node recurses into 4 children until the quadrant edge reaches
 // kLeafEdge, where the in-bounds cells are emitted as literal bits.
+// Decoding is word-level: whole 4x4 literals are read as one 16-bit field
+// and OR-ed into the cells a 64-bit row word at a time.
 // Bitplanes that are entirely zero across the tile are dropped entirely
 // (a 16-bit plane mask records which are present) -- the dominant saving
 // for DEM data whose values rarely exceed a few thousand meters.
@@ -53,5 +55,11 @@ inline constexpr std::uint32_t kBqLeafEdge = 4;
 /// Decode into `out` (must hold rows*cols values). Exact inverse of
 /// bq_encode for every input.
 void bq_decode(const BqEncodedTile& tile, std::span<CellValue> out);
+
+/// Decode into a window of a wider row-major grid: row r of the tile
+/// lands at out[r * row_stride], and `out` spans exactly
+/// (rows-1)*row_stride + cols cells. Cells between rows are not touched.
+void bq_decode(const BqEncodedTile& tile, std::span<CellValue> out,
+               std::size_t row_stride);
 
 }  // namespace zh

@@ -1,5 +1,6 @@
 #include "bqtree/compressed_raster.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 
@@ -57,29 +58,54 @@ BqCompressedRaster BqCompressedRaster::from_tiles(
 DemRaster BqCompressedRaster::decode_tiles(
     std::span<const TileId> ids) const {
   ZH_TRACE_SPAN("step0.decode", "pipeline");
-  DemRaster raster(tiling_.raster_rows(), tiling_.raster_cols(), transform_);
+  // The raster starts uninitialised and one parallel pass writes every
+  // cell: listed tiles first, decoded straight into their windows, then
+  // the rest, zeroed. Each window is first touched by the worker that
+  // fills it; no thread clears the whole raster up front.
+  const std::size_t n = tiling_.tile_count();
+  std::vector<std::uint8_t> listed(n, 0);
+  std::vector<TileId> order;
+  order.reserve(n);
+  for (const TileId id : ids) {
+    ZH_REQUIRE(id < n, "tile id out of range");
+    if (listed[id] == 0) order.push_back(id);
+    listed[id] = 1;
+  }
+  const std::size_t n_listed = order.size();
+  for (TileId id = 0; id < n; ++id) {
+    if (listed[id] == 0) order.push_back(id);
+  }
+
+  DemRaster raster(DemRaster::Uninitialised{}, tiling_.raster_rows(),
+                   tiling_.raster_cols(), transform_);
   raster.set_nodata(nodata_);
+  const auto stride = static_cast<std::size_t>(raster.cols());
   std::atomic<std::uint64_t> bytes{0};
-  ThreadPool::global().parallel_for(ids.size(), [&](std::size_t b,
-                                                    std::size_t e) {
-    std::vector<CellValue> cells;
+  ThreadPool::global().parallel_for(n, [&](std::size_t b, std::size_t e) {
     std::uint64_t local_bytes = 0;
     for (std::size_t i = b; i < e; ++i) {
-      const TileId id = ids[i];
+      const TileId id = order[i];
       const CellWindow w = tiling_.tile_window(id);
-      cells.resize(static_cast<std::size_t>(w.cell_count()));
-      decode_tile(id, cells);
-      local_bytes += tile(id).compressed_bytes();
+      const auto window = raster.cells().subspan(
+          static_cast<std::size_t>(w.row0) * stride +
+              static_cast<std::size_t>(w.col0),
+          static_cast<std::size_t>(w.rows - 1) * stride +
+              static_cast<std::size_t>(w.cols));
+      if (i < n_listed) {
+        bq_decode(tile(id), window, stride);
+        local_bytes += tile(id).compressed_bytes();
+        continue;
+      }
       for (std::int64_t r = 0; r < w.rows; ++r) {
-        std::copy(cells.begin() + static_cast<std::size_t>(r * w.cols),
-                  cells.begin() + static_cast<std::size_t>((r + 1) * w.cols),
-                  &raster.at(w.row0 + r, w.col0));
+        const auto row = window.subspan(static_cast<std::size_t>(r) * stride,
+                                        static_cast<std::size_t>(w.cols));
+        std::fill(row.begin(), row.end(), CellValue{0});
       }
     }
     bytes.fetch_add(local_bytes, std::memory_order_relaxed);
   });
   ZH_COUNTER_ADD("bqtree.bytes_decoded", bytes.load());
-  ZH_COUNTER_ADD("bqtree.tiles_decoded", ids.size());
+  ZH_COUNTER_ADD("bqtree.tiles_decoded", n_listed);
   return raster;
 }
 

@@ -1,32 +1,59 @@
 #include "common/crc32.hpp"
 
 #include <array>
+#include <bit>
+#include <cstring>
 
 namespace zh {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slice-by-8 tables: kTables[0] is the classic byte-at-a-time table, and
+// kTables[k][i] is the CRC of byte i followed by k zero bytes, so eight
+// lookups advance the register over eight input bytes at once.
+using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr Tables make_tables() {
+  Tables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = t[k - 1][i];
+      t[k][i] = t[0][prev & 0xFFu] ^ (prev >> 8);
+    }
+  }
+  return t;
 }
 
-constexpr std::array<std::uint32_t, 256> kTable = make_table();
+constexpr Tables kTables = make_tables();
+
+static_assert(std::endian::native == std::endian::little,
+              "slice-by-8 word loads assume a little-endian host");
 
 }  // namespace
 
 void Crc32::update(const void* data, std::size_t size) {
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t c = state_;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = kTable[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; size >= 8; p += 8, size -= 8) {
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + 4, 4);
+    lo ^= c;
+    c = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+        kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+        kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+        kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    c = kTables[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
   state_ = c;
 }

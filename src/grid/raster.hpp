@@ -2,8 +2,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -23,6 +26,26 @@ struct CellWindow {
   [[nodiscard]] std::int64_t cell_count() const { return rows * cols; }
   bool operator==(const CellWindow&) const = default;
 };
+
+namespace detail {
+
+/// std::allocator whose argument-less construct() leaves a trivial T
+/// uninitialised, so `std::vector<T, DefaultInitAllocator<T>>(n)` skips
+/// the zero-fill. Filling constructors still fill.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    if constexpr (sizeof...(Args) != 0 ||
+                  !std::is_trivially_default_constructible_v<U>) {
+      std::construct_at(p, std::forward<Args>(args)...);
+    }
+  }
+};
+
+}  // namespace detail
+
+class BqCompressedRaster;
 
 /// Row-major raster of `T` cells with an affine geotransform. SRTM-style
 /// DEMs use T = CellValue (uint16 elevation meters).
@@ -89,6 +112,20 @@ class Raster {
   bool operator==(const Raster&) const = default;
 
  private:
+  // BQ-Tree decode_tiles is the one writer that covers every cell itself
+  // (decoded tiles and zeroed unlisted tiles, in one parallel pass), so it
+  // alone may skip the serial fill.
+  friend class BqCompressedRaster;
+  struct Uninitialised {};
+  Raster(Uninitialised /*tag*/, std::int64_t rows, std::int64_t cols,
+         GeoTransform transform)
+      : rows_(rows),
+        cols_(cols),
+        transform_(transform),
+        data_(static_cast<std::size_t>(rows * cols)) {
+    ZH_REQUIRE(rows >= 0 && cols >= 0, "raster dims must be non-negative");
+  }
+
   [[nodiscard]] std::size_t index(std::int64_t row, std::int64_t col) const {
     ZH_REQUIRE(row >= 0 && row < rows_ && col >= 0 && col < cols_,
                "cell index out of range: (", row, ",", col, ") in ", rows_,
@@ -99,7 +136,7 @@ class Raster {
   std::int64_t rows_ = 0;
   std::int64_t cols_ = 0;
   GeoTransform transform_;
-  std::vector<T> data_;
+  std::vector<T, detail::DefaultInitAllocator<T>> data_;
   std::optional<T> nodata_;
 };
 

@@ -4,11 +4,13 @@
 // well; dropped all-zero bitplanes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "bqtree/bitstream.hpp"
 #include "bqtree/bqtree.hpp"
 #include "bqtree/compressed_raster.hpp"
+#include "common/crc32.hpp"
 #include "data/dem_synth.hpp"
 #include "test_util.hpp"
 
@@ -39,6 +41,54 @@ TEST(BitStream, ExhaustionThrows) {
   BitReader r(bytes);
   r.get_bits(8);  // padding bits within the byte are readable
   EXPECT_THROW(r.get(), InvalidArgument);
+}
+
+TEST(BitStream, RandomMixedWidthReadsMatchWriter) {
+  // Widths 0-32 in random order straddle every refill boundary of the
+  // 64-bit read buffer; get() is mixed in as a 1-bit read.
+  std::mt19937 rng(17);
+  std::vector<std::pair<std::uint32_t, unsigned>> fields;
+  BitWriter w;
+  for (int i = 0; i < 4000; ++i) {
+    const unsigned width = rng() % 33;
+    const std::uint32_t v =
+        width == 0 ? 0u
+                   : static_cast<std::uint32_t>(rng()) >> (32u - width);
+    w.put_bits(v, width);
+    fields.emplace_back(v, width);
+  }
+  const std::size_t bits = w.bit_count();
+  const auto bytes = w.take();
+  ASSERT_EQ(bytes.size(), (bits + 7) / 8);
+
+  BitReader r(bytes);
+  std::size_t written = 0;
+  for (const auto& [v, width] : fields) {
+    if (width == 1 && written % 2 == 0) {
+      ASSERT_EQ(r.get(), v != 0);
+    } else {
+      ASSERT_EQ(r.get_bits(width), v) << "field at bit " << written;
+    }
+    written += width;
+    ASSERT_EQ(r.position(), written);
+  }
+  EXPECT_EQ(r.position(), bits);
+  EXPECT_EQ(r.remaining(), bytes.size() * 8 - bits);
+}
+
+TEST(BitStream, ReaderNeverReadsPastItsSpan) {
+  // The reader sees only a prefix of a larger buffer; bits beyond the
+  // prefix exist in memory but must never be served.
+  const std::vector<std::uint8_t> backing(32, 0xFF);
+  for (std::size_t len = 0; len <= 17; ++len) {
+    BitReader r(std::span<const std::uint8_t>(backing).first(len));
+    for (std::size_t i = 0; i < len * 8; ++i) ASSERT_TRUE(r.get());
+    EXPECT_THROW(r.get(), InvalidArgument) << "span of " << len << " bytes";
+    EXPECT_EQ(r.position(), len * 8);
+  }
+  BitReader wide(std::span<const std::uint8_t>(backing).first(5));
+  EXPECT_EQ(wide.get_bits(32), 0xFFFFFFFFu);
+  EXPECT_THROW((void)wide.get_bits(9), InvalidArgument);
 }
 
 class BqRoundTrip
@@ -116,6 +166,73 @@ TEST(BqTree, SizeMismatchThrows) {
   EXPECT_THROW(bq_decode(enc, out), InvalidArgument);
 }
 
+TEST(BqTree, EncodedPayloadIsPinned) {
+  // The .bq format is the payload bytes: these values were produced by
+  // the bit-at-a-time encoder, and every later encoder must reproduce
+  // them exactly (also covering crc32 and the clipped-edge leaves).
+  const GeoTransform t(-100.0, 40.0, 1.0 / 3600.0, 1.0 / 3600.0);
+  const DemRaster dem = generate_dem(360, 360, t);
+  const BqEncodedTile enc = bq_encode(dem.cells(), 360, 360);
+  EXPECT_EQ(enc.plane_mask, 0x0DFFu);
+  EXPECT_EQ(enc.payload.size(), 40752u);
+  EXPECT_EQ(crc32(enc.payload.data(), enc.payload.size()), 0xB5D0D95Du);
+
+  const DemRaster edge = generate_dem(363, 365, t);
+  const BqEncodedTile clipped = bq_encode(edge.cells(), 363, 365);
+  EXPECT_EQ(clipped.plane_mask, 0x0DFFu);
+  EXPECT_EQ(clipped.payload.size(), 41589u);
+  EXPECT_EQ(crc32(clipped.payload.data(), clipped.payload.size()),
+            0x14642FDFu);
+}
+
+TEST(BqTree, EveryTruncationThrows) {
+  // A 360x360 tile whose payload ends mid-stream must fail with a
+  // zh::Error for every cut, reading nothing past the shortened payload
+  // (the truncated vector is exactly sized, so ASan sees any overread).
+  const std::uint32_t n = 360;
+  std::vector<CellValue> cells(static_cast<std::size_t>(n) * n);
+  std::mt19937 rng(5);
+  for (std::uint32_t r = 0; r < n; ++r) {
+    for (std::uint32_t c = 0; c < n; ++c) {
+      cells[static_cast<std::size_t>(r) * n + c] = static_cast<CellValue>(
+          (r / 16) * 64 + (c / 16) + (rng() % 1601 == 0 ? 1 : 0));
+    }
+  }
+  const BqEncodedTile clean = bq_encode(cells, n, n);
+  ASSERT_GT(clean.payload.size(), 100u);
+  std::vector<CellValue> out(cells.size());
+  bq_decode(clean, out);
+  ASSERT_EQ(out, cells);
+
+  for (std::size_t len = 0; len < clean.payload.size(); ++len) {
+    BqEncodedTile cut;
+    cut.rows = n;
+    cut.cols = n;
+    cut.plane_mask = clean.plane_mask;
+    cut.payload.assign(clean.payload.begin(),
+                       clean.payload.begin() +
+                           static_cast<std::ptrdiff_t>(len));
+    EXPECT_THROW(bq_decode(cut, out), Error) << "payload cut to " << len;
+  }
+}
+
+TEST(BqTree, ReservedNodeCodeThrowsIoError) {
+  BqEncodedTile tile;
+  tile.rows = 4;
+  tile.cols = 4;
+  tile.plane_mask = 0x1;
+  tile.payload = {0b11000000};
+  std::vector<CellValue> out(16);
+  EXPECT_THROW(bq_decode(tile, out), IoError);
+
+  // The same code below a mixed root, inside the quadtree walk.
+  tile.rows = 8;
+  tile.cols = 8;
+  tile.payload = {0b10001100, 0};
+  out.resize(64);
+  EXPECT_THROW(bq_decode(tile, out), IoError);
+}
+
 TEST(BqTree, SmoothTerrainCompressesWell) {
   // The paper reports ~18% of raw size on real SRTM data; fBm terrain
   // should land in the same regime (well under half of raw).
@@ -157,6 +274,38 @@ TEST(CompressedRaster, PerTileDecodeMatchesWindow) {
         ASSERT_EQ(tile[static_cast<std::size_t>(r * w.cols + c)],
                   dem.at(w.row0 + r, w.col0 + c))
             << "tile " << id << " local (" << r << "," << c << ")";
+      }
+    }
+  }
+}
+
+TEST(CompressedRaster, PartialDecodeZeroesUnlistedTiles) {
+  // 725x363 at tile 360: 3x2 tiles, the last row and column clipped to 5
+  // and 3 cells. Listed tiles must equal the source, every other cell
+  // must be zero (the decode target starts uninitialised), and the
+  // nodata value must carry over.
+  DemRaster dem = test::random_raster(725, 363, 9, 4999);
+  for (CellValue& v : dem.cells()) v = static_cast<CellValue>(v + 1);
+  dem.set_nodata(CellValue{7});
+  const BqCompressedRaster comp = BqCompressedRaster::encode(dem, 360);
+  const TilingScheme& tiling = comp.tiling();
+  ASSERT_EQ(tiling.tile_count(), 6u);
+
+  const std::vector<std::vector<TileId>> subsets = {
+      {}, {5}, {3, 0, 5}, {1, 2, 4}, {0, 1, 2, 3, 4, 5}};
+  for (const auto& ids : subsets) {
+    const DemRaster part = comp.decode_tiles(ids);
+    ASSERT_EQ(part.rows(), dem.rows());
+    ASSERT_EQ(part.cols(), dem.cols());
+    EXPECT_EQ(part.nodata(), dem.nodata());
+    for (TileId id = 0; id < tiling.tile_count(); ++id) {
+      const bool listed = std::find(ids.begin(), ids.end(), id) != ids.end();
+      const CellWindow w = tiling.tile_window(id);
+      for (std::int64_t r = w.row0; r < w.row0 + w.rows; ++r) {
+        for (std::int64_t c = w.col0; c < w.col0 + w.cols; ++c) {
+          ASSERT_EQ(part.at(r, c), listed ? dem.at(r, c) : CellValue{0})
+              << "tile " << id << " cell (" << r << "," << c << ")";
+        }
       }
     }
   }

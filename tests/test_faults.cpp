@@ -424,6 +424,24 @@ TEST_F(CorruptIoFault, Crc32KnownAnswerAndIncremental) {
   EXPECT_EQ(crc32(msg, 0), 0u);
 }
 
+TEST_F(CorruptIoFault, Crc32SplitAtAnyOffsetMatchesOneShot) {
+  // Slice-by-8 takes eight bytes per step: every split point 0-16 of a
+  // buffer starting one byte past alignment must agree with the one-shot
+  // CRC, whatever the head/tail byte counts on either side.
+  std::vector<unsigned char> storage(1 + 301);
+  std::mt19937 rng(23);
+  for (auto& b : storage) b = static_cast<unsigned char>(rng());
+  const unsigned char* data = storage.data() + 1;
+  const std::size_t size = storage.size() - 1;
+  const std::uint32_t whole = crc32(data, size);
+  for (std::size_t split = 0; split <= 16; ++split) {
+    Crc32 inc;
+    inc.update(data, split);
+    inc.update(data + split, size - split);
+    EXPECT_EQ(inc.value(), whole) << "split at " << split;
+  }
+}
+
 TEST_F(CorruptIoFault, ZgridDetectsEverySingleBitFlip) {
   const DemRaster r = test::random_raster(6, 5, 21, 4000);
   write_zgrid(path("v2.zgrid"), r);

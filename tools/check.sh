@@ -39,9 +39,11 @@ TSAN_FILTER='*ThreadPool*:*Primitive*:*Comm*:*Partition*:*Cluster*:*Stress*:*Dev
 REPEAT_FILTER='*Obs*:*TileCache*:*ThreadPool*:*TraceCausal*:*Comm*:*Executor*'
 
 # Fault-tolerance suites: deterministic fault injection, timeout/retry,
-# straggler recovery, corruption-detecting I/O, the parser corpus, and
-# the checkpoint-journal torn-write/bit-flip/resume suites.
-FAULT_FILTER='*Fault*:*ClusterRecovery*:*ParserRobustness*:*CorruptIo*:*Journal*:*Checkpoint*'
+# straggler recovery, corruption-detecting I/O, the parser corpus, the
+# checkpoint-journal torn-write/bit-flip/resume suites, and the BQ-Tree
+# codec suites (word-level bit reader, truncation and corrupt-stream
+# fuzz), so ASan/UBSan sees every malformed payload the decoder rejects.
+FAULT_FILTER='*Fault*:*ClusterRecovery*:*ParserRobustness*:*CorruptIo*:*Journal*:*Checkpoint*:*BitStream*:*BqRoundTrip*:*BqTree*:*CompressedRaster*:*Fuzz*'
 
 log() { printf '\n\033[1;34m== %s ==\033[0m\n' "$*"; }
 
