@@ -4,10 +4,9 @@
 // the four zonal steps on its raster partitions, then the master combines
 // per-polygon histograms. This module reproduces that programming model
 // in one process: run_cluster() launches one thread per rank; ranks talk
-// through mailboxes with (source, tag) matching; gather/reduce/barrier
-// are built on the same point-to-point layer, so the communication
-// pattern (and its serialization volume, which we account) matches the
-// MPI implementation structurally.
+// through mailboxes with (source, tag) matching, and every byte a rank
+// sends is accounted, so the communication volume of a run is measured
+// the way an MPI implementation would serialize it.
 //
 // Fault model (service-grade additions):
 //  * every blocking call is deadline-bounded -- the legacy throwing
@@ -177,77 +176,6 @@ class Communicator {
     return out;
   }
 
-  /// Gather every rank's buffer at `root` (rank order). Non-roots get an
-  /// empty result.
-  template <typename T>
-  [[nodiscard]] Status gather(RankId root, std::span<const T> mine,
-                              Deadline deadline,
-                              std::vector<std::vector<T>>& out,
-                              int tag = kGatherTag,
-                              const RetryPolicy& retry = {}) {
-    out.clear();
-    if (rank_ != root) {
-      send<T>(root, tag, mine);
-      return Status::ok();
-    }
-    out.resize(size());
-    for (RankId r = 0; r < size(); ++r) {
-      if (r == root) {
-        out[r].assign(mine.begin(), mine.end());
-        continue;
-      }
-      if (Status s = recv<T>(r, tag, deadline, out[r], retry); !s.is_ok()) {
-        return s;
-      }
-    }
-    return Status::ok();
-  }
-
-  template <typename T>
-  [[nodiscard]] std::vector<std::vector<T>> gather(
-      RankId root, std::span<const T> mine, int tag = kGatherTag) {
-    std::vector<std::vector<T>> out;
-    gather<T>(root, mine, default_deadline(), out, tag).throw_if_error();
-    return out;
-  }
-
-  /// Element-wise sum-reduce of equal-length buffers at `root` (the
-  /// master-side histogram combine). Non-roots get an empty vector.
-  template <typename T>
-  [[nodiscard]] Status reduce_sum(RankId root, std::span<const T> mine,
-                                  Deadline deadline, std::vector<T>& out,
-                                  int tag = kReduceTag,
-                                  const RetryPolicy& retry = {}) {
-    std::vector<std::vector<T>> all;
-    if (Status s = gather<T>(root, mine, deadline, all, tag, retry);
-        !s.is_ok()) {
-      return s;
-    }
-    out.clear();
-    if (rank_ != root) return Status::ok();
-    out.assign(mine.size(), T{});
-    for (std::size_t r = 0; r < all.size(); ++r) {
-      if (all[r].size() != out.size()) {
-        return Status::error(
-            StatusCode::kCorrupt,
-            detail::format_parts("reduce at root ", root, ": rank ", r,
-                                 " contributed ", all[r].size(),
-                                 " elements, expected ", out.size()));
-      }
-      for (std::size_t i = 0; i < out.size(); ++i) out[i] += all[r][i];
-    }
-    return Status::ok();
-  }
-
-  template <typename T>
-  [[nodiscard]] std::vector<T> reduce_sum(RankId root,
-                                          std::span<const T> mine,
-                                          int tag = kReduceTag) {
-    std::vector<T> out;
-    reduce_sum<T>(root, mine, default_deadline(), out, tag).throw_if_error();
-    return out;
-  }
-
   /// Synchronize all ranks, bounded by `deadline`. Returns kRankDead if
   /// any rank died (the barrier can then never complete) and kTimeout on
   /// expiry; a timed-out rank withdraws and may retry.
@@ -271,8 +199,6 @@ class Communicator {
   /// Status recv path, including retransmission recovery rounds).
   [[nodiscard]] std::uint64_t retries() const { return retries_; }
 
-  static constexpr int kGatherTag = -1;
-  static constexpr int kReduceTag = -2;
   /// Reserved for the clock-offset handshake run_cluster performs at
   /// rank startup when tracing is enabled (probe r->0 and reply 0->r
   /// both use it; direction disambiguates).

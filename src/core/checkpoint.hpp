@@ -27,16 +27,15 @@ class CheckpointSink {
   /// Called on the master thread immediately after the first-copy-wins
   /// acceptance of partition `part_index`, before the master acts on the
   /// completion (journal-before-acknowledge). `bins` is the partition's
-  /// flat per-polygon histogram (groups x bins). Implementations must
+  /// flat per-polygon histogram (groups x bins), valid only during the
+  /// call: the master reuses its storage. Implementations must
   /// make the record durable before returning, subject to their fsync
   /// batching policy; a throw fails the run.
   virtual void on_partition_complete(std::uint32_t part_index,
                                      std::span<const BinCount> bins) = 0;
 };
 
-/// Checkpoint wiring + resume state for run_cluster_zonal. Requires the
-/// fault-tolerant mode (the static mode has no per-partition acceptance
-/// to journal).
+/// Checkpoint wiring + resume state for run_cluster_zonal.
 struct CheckpointConfig {
   /// Not owned; must outlive the run. Null disables journaling (a
   /// resume-only final run that starts with every partition completed
@@ -50,10 +49,6 @@ struct CheckpointConfig {
   /// stays bit-identical to an uninterrupted run. Must be empty when
   /// completed_partitions is empty.
   std::vector<BinCount> resume_bins;
-
-  [[nodiscard]] bool enabled() const {
-    return sink != nullptr || !completed_partitions.empty();
-  }
 };
 
 }  // namespace zh

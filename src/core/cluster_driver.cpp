@@ -15,23 +15,23 @@ namespace {
 
 using Clock = Deadline::Clock;
 
-// Protocol tags of the fault-tolerant mode (worker <-> master).
+// Protocol tags of the master-worker run.
 constexpr int kTagHeartbeat = 100;  ///< worker -> master: u32 partition index
-constexpr int kTagResult = 101;  ///< worker -> master: u32 index + histogram
+constexpr int kTagResult = 101;  ///< worker -> master: see encode_result
 constexpr int kTagMore = 102;    ///< worker -> master: request for more work
 constexpr int kTagAssign = 103;  ///< master -> worker: u32 list (empty=done)
 constexpr int kTagMetrics = 104;  ///< worker -> master: one RankMetricsRow
 constexpr int kTagTrace = 105;  ///< worker -> master: zh-trace-frame v1 blob
 
+// A partition result message: the u32 partition index, then the
+// partition's per-polygon histogram in the sparse encoding the journal
+// also writes (core/histogram.hpp), so a message carries only the bins
+// the partition touched.
 std::vector<std::byte> encode_result(std::uint32_t part_index,
                                      std::span<const BinCount> bins) {
-  std::vector<std::byte> bytes(sizeof(part_index) + bins.size_bytes());
+  std::vector<std::byte> bytes(sizeof(part_index));
   std::memcpy(bytes.data(), &part_index, sizeof(part_index));
-  // An empty zone layer has no bins, and bins.data() may be null.
-  if (!bins.empty()) {
-    std::memcpy(bytes.data() + sizeof(part_index), bins.data(),
-                bins.size_bytes());
-  }
+  append_sparse_bins(bins, bytes);
   return bytes;
 }
 
@@ -84,9 +84,6 @@ ClusterRunResult run_cluster_zonal(
   ZH_TRACE_SPAN("cluster.run_zonal", "cluster");
   const FaultToleranceConfig& ft = config.fault_tolerance;
   const CheckpointConfig& ck = config.checkpoint;
-  ZH_REQUIRE(!ck.enabled() || ft.enabled,
-             "checkpoint/resume requires fault-tolerant mode (only the "
-             "supervised master accepts partitions one by one)");
 
   // Build the global partition list (tile-aligned) and assign owners.
   std::vector<RasterPartition> parts;
@@ -100,16 +97,12 @@ ClusterRunResult run_cluster_zonal(
     }
   }
   // Partition costs drive both the cost-balanced initial assignment and
-  // the LPT ordering of reassigned work in fault-tolerant mode.
-  std::vector<double> costs;
-  if (config.assignment == PartitionAssignment::kCostBalanced ||
-      ft.enabled) {
-    std::vector<GeoTransform> transforms;
-    transforms.reserve(rasters.size());
-    for (const DemRaster& r : rasters) transforms.push_back(r.transform());
-    costs = estimate_partition_costs(parts, transforms,
-                                     config.zonal.tile_size, polygons);
-  }
+  // the LPT ordering of reassigned work.
+  std::vector<GeoTransform> transforms;
+  transforms.reserve(rasters.size());
+  for (const DemRaster& r : rasters) transforms.push_back(r.transform());
+  const std::vector<double> costs = estimate_partition_costs(
+      parts, transforms, config.zonal.tile_size, polygons);
   if (config.assignment == PartitionAssignment::kCostBalanced) {
     assign_least_loaded(parts, config.ranks, costs);
   } else {
@@ -143,103 +136,16 @@ ClusterRunResult run_cluster_zonal(
     return pipeline.run(window, polygons, soa, &workspace);
   };
 
-  if (!ft.enabled) {
-    // Static mode: the paper's fixed-assignment run with one final
-    // reduce. No failure handling -- any rank error fails the job.
-    run_cluster(config.ranks, [&](Communicator& comm) {
-      const RankId me = comm.rank();
-      Timer wall;
-
-      // Each rank gets its own virtual device (one accelerator per node,
-      // as on Titan).
-      Device device(config.device_profile);
-      ZonalPipeline pipeline(device, config.zonal);
-
-      HistogramSet local(polygons.size(), config.zonal.bins);
-      StepTimes times;
-      WorkCounters work;
-      std::uint32_t done = 0;
-      ZonalWorkspace workspace;  // per-tile table reused across partitions
-      RankMetricsRow row;  // latency columns tallied as partitions finish
-
-      for (std::uint32_t i = 0; i < parts.size(); ++i) {
-        if (parts[i].owner != me) continue;
-        Timer part_timer;
-        const ZonalResult r = compute_partition(pipeline, workspace, i);
-        tally_latency(row, part_timer.seconds());
-        local.add(r.per_polygon);
-        times += r.times;
-        work += r.work;
-        ++done;
-      }
-
-      // Master-side merge: element-wise sum of per-polygon histograms
-      // ("the master node was used to combine per-polygon histograms").
-      const std::vector<BinCount> merged =
-          comm.reduce_sum<BinCount>(kRoot, local.flat());
-      const double rank_wall = wall.seconds();
-
-      // Per-rank metrics row, gathered into the master's table. Filled
-      // before its own gather so comm_bytes excludes the row's message.
-      row.partitions_processed = done;
-      row.retries = comm.retries();
-      row.comm_bytes_sent = comm.bytes_sent();
-      tally_work(row, work);
-      row.reported = 1;
-      const std::vector<std::vector<RankMetricsRow>> rows =
-          comm.gather<RankMetricsRow>(
-              kRoot, std::span<const RankMetricsRow>(&row, 1), kTagMetrics);
-
-      // Gather per-rank trace buffers next to the metrics rows so a
-      // traced run exports one merged cluster timeline. Rank
-      // attribution is pinned at flush time (take_thread_events), never
-      // by the ingesting thread.
-      if (obs::trace_enabled()) {
-        const std::vector<std::byte> blob = obs::encode_trace_events(
-            obs::take_thread_events(static_cast<std::int32_t>(me)));
-        const std::vector<std::vector<std::byte>> blobs =
-            comm.gather<std::byte>(kRoot, std::span<const std::byte>(blob),
-                                   kTagTrace);
-        if (me == kRoot) {
-          for (const std::vector<std::byte>& b : blobs) {
-            obs::ingest_trace_events(b);
-          }
-        }
-      }
-
-      {
-        std::lock_guard lock(result_mutex);
-        result.per_rank[me] = times;
-        result.per_rank_work[me] = work;
-        result.rank_seconds[me] = rank_wall;
-        result.rank_outcomes[me].partitions_completed = done;
-        result.work += work;
-        if (me == kRoot) {
-          result.merged = HistogramSet(polygons.size(), config.zonal.bins);
-          std::copy(merged.begin(), merged.end(),
-                    result.merged.flat().begin());
-          for (RankId r = 0; r < comm.size(); ++r) {
-            if (rows[r].size() == 1) result.rank_metrics[r] = rows[r][0];
-          }
-        }
-      }
-      comm_bytes.fetch_add(comm.bytes_sent(), std::memory_order_relaxed);
-    });
-
-    result.comm_bytes = comm_bytes.load();
-    for (const double s : result.rank_seconds) {
-      result.wall_seconds = std::max(result.wall_seconds, s);
-    }
-    return result;
-  }
-
-  // ---- Fault-tolerant mode: supervised master-worker dispatch. ----
+  // ---- Supervised master-worker dispatch. ----
   //
-  // Workers stream one result message per partition; the master
-  // accumulates each partition exactly once (first copy wins), so
-  // duplicate deliveries, straggler late results, and recomputation
-  // after reassignment all stay exact. Completion is idempotent per
-  // partition index -- the whole recovery scheme rests on that.
+  // Each rank computes the partitions it owns; workers stream one result
+  // message per partition and the master merges each partition exactly
+  // once (first copy wins) -- the paper's "master node combines
+  // per-polygon histograms", made incremental. With an empty FaultPlan
+  // this is the paper's fixed-assignment run. Under faults, duplicate
+  // deliveries, straggler late results, and recomputation after
+  // reassignment all stay exact: completion is idempotent per partition
+  // index -- the whole recovery scheme rests on that.
   result.merged = HistogramSet(polygons.size(), config.zonal.bins);
 
   // Resume state: partitions a previous generation journaled are marked
@@ -376,23 +282,23 @@ ClusterRunResult run_cluster_zonal(
       }
     }
     std::vector<RankOutcome> outcome(comm.size());
+    const std::span<BinCount> merged = result.merged.flat();
+    std::vector<SparseBin> entries;  // the result message being merged
+    std::vector<BinCount> sink_scratch;  // dense view for the sink, all 0
 
-    const auto accumulate = [&](std::uint32_t index,
-                                std::span<const BinCount> bins) {
+    const auto accept = [&](std::uint32_t index) {
       if (completed[index] != 0) return false;  // first copy wins
       completed[index] = 1;
       ++completed_count;
-      auto flat = result.merged.flat();
-      ZH_REQUIRE(bins.size() == flat.size(),
-                 "partition result size mismatch: got ", bins.size(),
-                 " bins, expected ", flat.size());
-      for (std::size_t i = 0; i < flat.size(); ++i) flat[i] += bins[i];
-      // Journal-before-acknowledge: the acceptance becomes durable
-      // before the master acts on it (serving more work, finishing the
-      // run), so a process death after this point never forgets an
-      // acknowledged partition. Runs on the master thread only.
-      if (ck.sink != nullptr) ck.sink->on_partition_complete(index, bins);
       return true;
+    };
+    // Journal-before-acknowledge: each acceptance becomes durable before
+    // the master acts on it (serving more work, finishing the run), so a
+    // process death after this point never forgets an acknowledged
+    // partition. Runs on the master thread only.
+    const auto journal = [&](std::uint32_t index,
+                             std::span<const BinCount> bins) {
+      if (ck.sink != nullptr) ck.sink->on_partition_complete(index, bins);
     };
 
     RankMetricsRow master_row;  // staging for rows[kRoot] latency columns
@@ -400,7 +306,10 @@ ClusterRunResult run_cluster_zonal(
       Timer part_timer;
       const ZonalResult r = compute_partition(pipeline, workspace, index);
       tally_latency(master_row, part_timer.seconds());
-      accumulate(index, r.per_polygon.flat());
+      if (accept(index)) {
+        result.merged.add(r.per_polygon);
+        journal(index, r.per_polygon.flat());
+      }
       ++outcome[kRoot].partitions_completed;
       flush(r);
     };
@@ -482,14 +391,22 @@ ClusterRunResult run_cluster_zonal(
         std::memcpy(&index, msg.payload.data(), sizeof(index));
         ZH_REQUIRE(index < total, "partition index ", index,
                    " out of range from rank ", msg.src);
-        const std::size_t nbins =
-            (msg.payload.size() - sizeof(index)) / sizeof(BinCount);
-        std::vector<BinCount> bins(nbins);
-        if (nbins > 0) {
-          std::memcpy(bins.data(), msg.payload.data() + sizeof(index),
-                      nbins * sizeof(BinCount));
-        }
-        if (accumulate(index, bins)) {
+        const Status decoded = decode_sparse_bins(
+            std::span<const std::byte>(msg.payload).subspan(sizeof(index)),
+            merged.size(), entries);
+        ZH_REQUIRE(decoded.is_ok(), "partition ", index, " result from rank ",
+                   msg.src, ": ", decoded.message());
+        if (accept(index)) {
+          // Only the touched bins are added. A wired sink still gets the
+          // dense table it journals from: scatter into the reused
+          // scratch table, then re-zero exactly the entries written.
+          for (const SparseBin& e : entries) merged[e.index] += e.count;
+          if (ck.sink != nullptr) {
+            sink_scratch.resize(merged.size());
+            for (const SparseBin& e : entries) sink_scratch[e.index] = e.count;
+            journal(index, sink_scratch);
+            for (const SparseBin& e : entries) sink_scratch[e.index] = 0;
+          }
           ++outcome[msg.src].partitions_completed;
         }
         auto& mine = open[msg.src];

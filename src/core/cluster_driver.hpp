@@ -2,28 +2,29 @@
 //
 // Partitions a multi-raster dataset per its Table-1 partition schemas,
 // assigns partitions to ranks, runs the full pipeline per partition on
-// each rank, and sum-reduces per-polygon histograms at the master rank
+// each rank, and sums per-polygon histograms at the master rank
 // (polygons can span partitions, so the merge is additive). The reported
 // wall time is the maximum across ranks including the MPI communication
 // -- the paper's measurement convention.
 //
-// Two execution modes:
-//  * static (default): the seed behavior -- fixed assignment, one final
-//    reduce, no failure handling;
-//  * fault-tolerant: workers stream one result message per partition and
-//    the master supervises them (heartbeats + timeouts). A rank that
-//    crashes or goes silent has its unfinished partitions reassigned to
-//    surviving workers (LPT order) or computed by the master itself, so
-//    the merged histograms stay bit-identical to the fault-free run
-//    (invariant 6 extended) whenever every partition completes; a
-//    `degraded` flag plus coverage list is returned when it does not.
-//    The master (rank 0) is the single point of failure, like the
-//    paper's MPI master: crash checkpoints never fire on it. Whole-
-//    process death (including the master's) is mitigated by the durable
-//    checkpoint journal: with ClusterRunConfig::checkpoint wired, every
-//    accepted partition is journaled before acknowledgement and a
-//    restarted run resumes from the journal, recomputing only the
-//    remainder (bit-identical merge; DESIGN.md section 5d).
+// One execution mode, a supervised master-worker run: every rank
+// computes the partitions assigned to it, workers stream one result
+// message per partition (the sparse histogram encoding of
+// core/histogram.hpp), and the master merges each partition once while
+// supervising the workers (heartbeats + timeouts). With an empty
+// FaultPlan this is the paper's fixed-assignment run. A rank that
+// crashes or goes silent has its unfinished partitions reassigned to
+// surviving workers (LPT order) or computed by the master itself, so the
+// merged histograms stay bit-identical to the fault-free run (invariant
+// 6 extended) whenever every partition completes; a `degraded` flag plus
+// coverage list is returned when it does not. The master (rank 0) is the
+// single point of failure, like the paper's MPI master: crash
+// checkpoints never fire on it. Whole-process death (including the
+// master's) is mitigated by the durable checkpoint journal: with
+// ClusterRunConfig::checkpoint wired, every accepted partition is
+// journaled before acknowledgement and a restarted run resumes from the
+// journal, recomputing only the remainder (bit-identical merge;
+// DESIGN.md section 5d).
 #pragma once
 
 #include <cstdint>
@@ -46,8 +47,10 @@ enum class PartitionAssignment : std::uint8_t {
   kCostBalanced,
 };
 
-/// Fault-tolerant-mode knobs.
+/// Supervision and fault-injection knobs of the master-worker run.
 struct FaultToleranceConfig {
+  /// Read by nothing: every run is supervised. Kept only because the
+  /// perfbench cluster workload still assigns it (ROADMAP item 2).
   bool enabled = false;
   /// A worker silent for longer than this is declared dead and its
   /// unfinished partitions reassigned. Must exceed the worst-case
@@ -71,9 +74,9 @@ struct ClusterRunConfig {
   PartitionAssignment assignment = PartitionAssignment::kRoundRobin;
   FaultToleranceConfig fault_tolerance;
   /// Durable checkpoint/resume wiring (journal-before-acknowledge +
-  /// already-completed partitions). Requires fault_tolerance.enabled:
-  /// only the supervised master-worker mode accepts partitions one by
-  /// one. See src/core/checkpoint.hpp and DESIGN.md section 5d.
+  /// already-completed partitions): the master accepts partitions one by
+  /// one, and each acceptance is journaled. See src/core/checkpoint.hpp
+  /// and DESIGN.md section 5d.
   CheckpointConfig checkpoint;
 };
 
@@ -84,7 +87,7 @@ enum class RankState : std::uint8_t {
   kTimedOut,       ///< declared dead after heartbeat silence (straggler)
 };
 
-/// Per-rank accounting of a fault-tolerant run.
+/// Per-rank accounting of a run.
 struct RankOutcome {
   RankState state = RankState::kCompleted;
   std::uint32_t partitions_completed = 0;  ///< results the master accepted
@@ -94,8 +97,8 @@ struct RankOutcome {
   bool operator==(const RankOutcome&) const = default;
 };
 
-/// Per-rank observability metrics, serialized by each rank at the end of
-/// its run and gathered at the master next to the outcome table. All-u64
+/// Per-rank observability metrics, serialized by each worker at the end
+/// of its run and sent to the master next to the outcome table. All-u64
 /// and trivially copyable so it travels over the typed send/recv layer
 /// unchanged. A rank that dies before reporting leaves its row defaulted
 /// (reported == 0).
@@ -130,8 +133,8 @@ struct ClusterRunResult {
   double wall_seconds = 0.0;          ///< max over ranks
   std::uint64_t comm_bytes = 0;       ///< total bytes sent
   WorkCounters work;                  ///< summed over partitions
-  std::vector<RankOutcome> rank_outcomes;  ///< per-rank fate (all modes)
-  std::vector<RankMetricsRow> rank_metrics;  ///< per-rank metrics (all modes)
+  std::vector<RankOutcome> rank_outcomes;  ///< per-rank fate
+  std::vector<RankMetricsRow> rank_metrics;  ///< per-rank metrics
   /// True when some partitions never completed (their contribution is
   /// missing from `merged`); the indices are listed for coverage reports.
   bool degraded = false;

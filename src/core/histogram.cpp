@@ -1,16 +1,75 @@
 #include "core/histogram.hpp"
 
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/contracts.hpp"
 #include "obs/obs.hpp"
 
 namespace zh {
 
+static_assert(std::endian::native == std::endian::little,
+              "the sparse histogram encoding assumes a little-endian host");
+
 void note_values_clamped(std::uint64_t n) {
   if (n == 0) return;
   ZH_COUNTER_ADD("histogram.values_clamped", n);
+}
+
+void append_sparse_bins(std::span<const BinCount> bins,
+                        std::vector<std::byte>& out) {
+  std::uint64_t nnz = 0;
+  for (const BinCount c : bins) {
+    if (c != 0) ++nnz;
+  }
+  std::size_t pos = out.size();
+  out.resize(pos + kSparseHeaderBytes + nnz * kSparseEntryBytes);
+  const auto put = [&](const auto& v) {
+    std::memcpy(out.data() + pos, &v, sizeof(v));
+    pos += sizeof(v);
+  };
+  put(nnz);
+  for (std::uint64_t i = 0; i < bins.size(); ++i) {
+    const BinCount c = bins[static_cast<std::size_t>(i)];
+    if (c == 0) continue;
+    put(i);
+    put(c);
+  }
+}
+
+Status decode_sparse_bins(std::span<const std::byte> blob,
+                          std::uint64_t slots, std::vector<SparseBin>& out) {
+  const auto corrupt = [](auto&&... parts) {
+    return Status::error(StatusCode::kCorrupt,
+                         detail::format_parts("sparse histogram: ", parts...));
+  };
+  if (blob.size() < kSparseHeaderBytes) {
+    return corrupt(blob.size(), " bytes, shorter than its ",
+                   kSparseHeaderBytes, "-byte header");
+  }
+  std::uint64_t nnz = 0;
+  std::memcpy(&nnz, blob.data(), sizeof(nnz));
+  if (nnz > slots) {
+    return corrupt("nnz ", nnz, " exceeds ", slots, " histogram slots");
+  }
+  const std::size_t body = blob.size() - kSparseHeaderBytes;
+  if (body % kSparseEntryBytes != 0 || body / kSparseEntryBytes != nnz) {
+    return corrupt("length ", blob.size(), " disagrees with nnz ", nnz);
+  }
+  out.resize(static_cast<std::size_t>(nnz));
+  const std::byte* p = blob.data() + kSparseHeaderBytes;
+  for (SparseBin& e : out) {
+    std::memcpy(&e.index, p, sizeof(e.index));
+    std::memcpy(&e.count, p + sizeof(e.index), sizeof(e.count));
+    p += kSparseEntryBytes;
+    if (e.index >= slots) {
+      return corrupt("bin index ", e.index, " out of range (", slots,
+                     " slots)");
+    }
+  }
+  return Status::ok();
 }
 
 ZonalStats stats_from_histogram(std::span<const BinCount> h) {

@@ -6,6 +6,7 @@
 // (elevations < 5000 m) is the paper's CONUS setting.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -126,6 +127,37 @@ class HistogramSet {
   BinIndex bins_ = 0;
   std::vector<BinCount> counts_;
 };
+
+/// One nonzero slot of a flat groups x bins histogram table.
+struct SparseBin {
+  std::uint64_t index = 0;  ///< flat slot: group * bins + bin
+  BinCount count = 0;
+
+  bool operator==(const SparseBin&) const = default;
+};
+
+/// Sparse histogram codec, shared by the checkpoint journal's records and
+/// the cluster driver's partition-result messages: a u64 entry count
+/// (nnz), then nnz (u64 flat index, u32 count) entries, little-endian;
+/// the encoder writes them in ascending index order. Zonal histograms
+/// over fine bins are mostly zero, so this beats a dense groups x bins
+/// dump by orders of magnitude.
+inline constexpr std::size_t kSparseHeaderBytes = 8;
+inline constexpr std::size_t kSparseEntryBytes = 8 + 4;
+
+/// Append the sparse encoding of the nonzero slots of `bins` to `out`.
+void append_sparse_bins(std::span<const BinCount> bins,
+                        std::vector<std::byte>& out);
+
+/// Decode one sparse encoding that must span all of `blob`, for a table
+/// of `slots` entries, into `out` (replaced). Returns kCorrupt, leaving
+/// `out` unspecified, for a blob shorter than its header, an nnz that
+/// exceeds `slots` or disagrees with the blob length, or an entry index
+/// >= `slots`: the encoding crossed a process or file boundary, so each
+/// caller maps the Status onto its own error.
+[[nodiscard]] Status decode_sparse_bins(std::span<const std::byte> blob,
+                                        std::uint64_t slots,
+                                        std::vector<SparseBin>& out);
 
 /// The classic zonal-statistics row (min/max/mean/std/count), derivable
 /// from a zone histogram -- the paper frames Zonal Histogramming as the

@@ -14,7 +14,7 @@
 //    blocks the same races exist as on a real GPU and shared outputs must
 //    use atomics exactly as in the paper.
 //  * DeviceProfile captures the published specs of the three GPUs in the
-//    paper's evaluation; Device keeps transfer/launch statistics so an
+//    paper's evaluation; Device keeps launch statistics so an
 //    analytic performance model (core/perf_model) can project paper-scale
 //    runtimes from measured work counters.
 #pragma once
@@ -25,10 +25,8 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
@@ -61,14 +59,10 @@ struct DeviceProfile {
 struct DeviceStats {
   std::atomic<std::uint64_t> kernels_launched{0};
   std::atomic<std::uint64_t> blocks_executed{0};
-  std::atomic<std::uint64_t> bytes_h2d{0};
-  std::atomic<std::uint64_t> bytes_d2h{0};
 
   void reset() {
     kernels_launched = 0;
     blocks_executed = 0;
-    bytes_h2d = 0;
-    bytes_d2h = 0;
   }
 };
 
@@ -108,37 +102,6 @@ class BlockContext {
   std::uint32_t block_id_;
   std::uint32_t grid_dim_;
   std::uint32_t block_dim_;
-};
-
-/// Device-resident typed buffer. Allocation and host<->device copies are
-/// tracked through the owning Device so transfer volumes can be reported
-/// (the paper argues BQ-Tree compression cuts the CPU->GPU copy from ~28 s
-/// to ~3 s at 2.5 GB/s; the accounting lets benches reproduce that math).
-template <typename T>
-class DeviceBuffer {
- public:
-  DeviceBuffer() = default;
-  explicit DeviceBuffer(std::size_t n) : data_(n) {}
-
-  [[nodiscard]] std::size_t size() const { return data_.size(); }
-  [[nodiscard]] bool empty() const { return data_.empty(); }
-  [[nodiscard]] std::size_t bytes() const { return size() * sizeof(T); }
-
-  [[nodiscard]] T* data() { return data_.data(); }
-  [[nodiscard]] const T* data() const { return data_.data(); }
-  [[nodiscard]] std::span<T> span() { return {data_.data(), data_.size()}; }
-  [[nodiscard]] std::span<const T> span() const {
-    return {data_.data(), data_.size()};
-  }
-
-  T& operator[](std::size_t i) { return data_[i]; }
-  const T& operator[](std::size_t i) const { return data_[i]; }
-
-  void fill(const T& v) { std::fill(data_.begin(), data_.end(), v); }
-  void resize(std::size_t n) { data_.resize(n); }
-
- private:
-  std::vector<T> data_;
 };
 
 /// Accumulated profile of one named kernel (see Device::launch_named).
@@ -216,23 +179,6 @@ class Device {
       const {
     std::lock_guard lock(profile_mutex_);
     return kernel_profiles_;
-  }
-
-  /// Copy host data into a new device buffer, accounting the transfer.
-  template <typename T>
-  DeviceBuffer<T> to_device(std::span<const T> host) {
-    DeviceBuffer<T> buf(host.size());
-    std::copy(host.begin(), host.end(), buf.data());
-    stats_.bytes_h2d.fetch_add(host.size_bytes(), std::memory_order_relaxed);
-    return buf;
-  }
-
-  /// Copy a device buffer back to host storage, accounting the transfer.
-  template <typename T>
-  std::vector<T> to_host(const DeviceBuffer<T>& buf) {
-    std::vector<T> host(buf.data(), buf.data() + buf.size());
-    stats_.bytes_d2h.fetch_add(buf.bytes(), std::memory_order_relaxed);
-    return host;
   }
 
   /// Modeled seconds for a host->device transfer of `bytes` at the

@@ -15,6 +15,7 @@
 
 #include "common/crc32.hpp"
 #include "common/timer.hpp"
+#include "core/histogram.hpp"
 #include "geom/soa.hpp"
 #include "obs/obs.hpp"
 
@@ -28,18 +29,19 @@ constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kManifestBytes = 8 + 8 + 8 + 4 + 8 + 4;
 /// magic + version + manifest + manifest CRC.
 constexpr std::size_t kHeaderBytes = 4 + 4 + kManifestBytes + 4;
+/// generation + part_index ahead of the record's sparse histogram
+/// (core/histogram.hpp's codec).
+constexpr std::uint64_t kRecordPrefix = 4 + 4;
 /// generation + part_index + nnz; the smallest legal record payload.
-constexpr std::uint64_t kMinPayload = 4 + 4 + 8;
-/// One sparse histogram entry: flat bin index (u64) + count (u32).
-constexpr std::uint64_t kEntryBytes = 8 + 4;
+constexpr std::uint64_t kMinPayload = kRecordPrefix + kSparseHeaderBytes;
 
 static_assert(std::endian::native == std::endian::little,
               "journal I/O assumes a little-endian host");
 
 template <typename T>
-void put_pod(std::vector<char>& buf, const T& v) {
+void put_pod(std::vector<std::byte>& buf, const T& v) {
   static_assert(std::is_trivially_copyable_v<T>);
-  const auto* p = reinterpret_cast<const char*>(&v);
+  const auto* p = reinterpret_cast<const std::byte*>(&v);
   buf.insert(buf.end(), p, p + sizeof(T));
 }
 
@@ -58,14 +60,14 @@ T get_pod(std::span<const char> buf, std::size_t& pos) {
 /// must still fail cleanly, not allocate absurdly).
 std::uint64_t flat_size(const RunManifest& m, const std::string& path) {
   constexpr std::uint64_t kMaxFlat =
-      std::numeric_limits<std::uint64_t>::max() / (2 * kEntryBytes);
+      std::numeric_limits<std::uint64_t>::max() / (2 * kSparseEntryBytes);
   ZH_REQUIRE_IO(m.bins == 0 || m.groups <= kMaxFlat / m.bins,
                 "journal manifest histogram shape overflows (", m.groups,
                 " groups x ", m.bins, " bins) in ", path);
   return m.groups * m.bins;
 }
 
-void write_all(int fd, const char* data, std::size_t size,
+void write_all(int fd, const std::byte* data, std::size_t size,
                const std::string& path) {
   std::size_t done = 0;
   while (done < size) {
@@ -86,8 +88,8 @@ void sync_fd(int fd, const std::string& path) {
   ZH_LATENCY_RECORD("latency.journal_fsync", timer.seconds());
 }
 
-std::vector<char> manifest_blob(const RunManifest& m) {
-  std::vector<char> blob;
+std::vector<std::byte> manifest_blob(const RunManifest& m) {
+  std::vector<std::byte> blob;
   blob.reserve(kManifestBytes);
   put_pod(blob, m.raster_fingerprint);
   put_pod(blob, m.zones_fingerprint);
@@ -145,10 +147,11 @@ JournalLoad load_journal(const std::string& path) {
                 " (corrupted or truncated header)");
 
   const std::uint64_t flat = flat_size(load.manifest, path);
-  const std::uint64_t max_payload = kMinPayload + flat * kEntryBytes;
+  const std::uint64_t max_payload = kMinPayload + flat * kSparseEntryBytes;
   load.merged_bins.assign(static_cast<std::size_t>(flat), BinCount{0});
   std::vector<char> seen_global(load.manifest.partition_count, 0);
   std::vector<char> seen_this_gen(load.manifest.partition_count, 0);
+  std::vector<SparseBin> entries;  // one record's decoded histogram
 
   // Frame walk with the torn-tail rule: the first frame that is short,
   // absurdly sized, or CRC-broken ends the trusted prefix -- a kill mid
@@ -173,12 +176,10 @@ JournalLoad load_journal(const std::string& path) {
     JournalRecordInfo rec;
     rec.generation = get_pod<std::uint32_t>(payload, p);
     rec.part_index = get_pod<std::uint32_t>(payload, p);
-    const auto nnz = get_pod<std::uint64_t>(payload, p);
-    ZH_REQUIRE_IO(nnz <= flat, "journal record nnz ", nnz, " exceeds ", flat,
-                  " histogram slots in ", path);
-    ZH_REQUIRE_IO(len == kMinPayload + nnz * kEntryBytes,
-                  "journal record length ", len, " disagrees with nnz ", nnz,
-                  " in ", path);
+    const Status decoded = decode_sparse_bins(
+        std::as_bytes(payload.subspan(kRecordPrefix)), flat, entries);
+    ZH_REQUIRE_IO(decoded.is_ok(), "journal record at byte ", off, ": ",
+                  decoded.message(), " in ", path);
     ZH_REQUIRE_IO(rec.part_index < load.manifest.partition_count,
                   "journal partition index ", rec.part_index,
                   " out of range (", load.manifest.partition_count,
@@ -201,17 +202,10 @@ JournalLoad load_journal(const std::string& path) {
 
     // First copy wins across generations, mirroring the master's
     // idempotent acceptance; later duplicates are valid but inert.
-    const bool fresh = seen_global[rec.part_index] == 0;
-    for (std::uint64_t i = 0; i < nnz; ++i) {
-      const auto index = get_pod<std::uint64_t>(payload, p);
-      const auto count = get_pod<BinCount>(payload, p);
-      ZH_REQUIRE_IO(index < flat, "journal bin index ", index,
-                    " out of range (", flat, " slots) in ", path);
-      if (fresh) {
-        load.merged_bins[static_cast<std::size_t>(index)] += count;
+    if (seen_global[rec.part_index] == 0) {
+      for (const SparseBin& e : entries) {
+        load.merged_bins[static_cast<std::size_t>(e.index)] += e.count;
       }
-    }
-    if (fresh) {
       seen_global[rec.part_index] = 1;
       load.completed.push_back(rec.part_index);
     }
@@ -254,11 +248,11 @@ JournalWriter JournalWriter::create(const std::string& path,
   ZH_REQUIRE_IO(fd >= 0, "cannot open journal for write: ", path, ": ",
                 std::strerror(errno));
   JournalWriter writer(fd, path, manifest, /*generation=*/0, options);
-  std::vector<char> header;
+  std::vector<std::byte> header;
   header.reserve(kHeaderBytes);
-  header.insert(header.end(), kMagic.begin(), kMagic.end());
+  put_pod(header, kMagic);
   put_pod(header, kVersion);
-  const std::vector<char> blob = manifest_blob(manifest);
+  const std::vector<std::byte> blob = manifest_blob(manifest);
   header.insert(header.end(), blob.begin(), blob.end());
   put_pod(header, crc32(blob.data(), blob.size()));
   write_all(fd, header.data(), header.size(), path);
@@ -347,25 +341,18 @@ void JournalWriter::on_partition_complete(std::uint32_t part_index,
   ZH_REQUIRE(bins.size() == flat, "journal record histogram size mismatch: ",
              bins.size(), " bins, manifest says ", flat);
 
-  // Sparse encoding: zonal histograms over fine bins are mostly zero, so
-  // (flat index, count) pairs beat a dense dump by orders of magnitude.
-  std::uint64_t nnz = 0;
-  for (const BinCount c : bins) {
-    if (c != 0) ++nnz;
-  }
-  std::vector<char> frame;
-  frame.reserve(4 + kMinPayload + nnz * kEntryBytes + 4);
-  put_pod(frame,
-          static_cast<std::uint32_t>(kMinPayload + nnz * kEntryBytes));
+  // Frame: u32 payload length, payload (generation, partition, sparse
+  // histogram), CRC-32 of the payload. The length is patched in once the
+  // sparse encoding has sized the payload.
+  std::vector<std::byte> frame;
+  put_pod(frame, std::uint32_t{0});
   const std::size_t payload_off = frame.size();
   put_pod(frame, generation_);
   put_pod(frame, part_index);
-  put_pod(frame, nnz);
-  for (std::uint64_t i = 0; i < bins.size(); ++i) {
-    if (bins[static_cast<std::size_t>(i)] == 0) continue;
-    put_pod(frame, i);
-    put_pod(frame, bins[static_cast<std::size_t>(i)]);
-  }
+  append_sparse_bins(bins, frame);
+  const auto payload_len =
+      static_cast<std::uint32_t>(frame.size() - payload_off);
+  std::memcpy(frame.data(), &payload_len, sizeof(payload_len));
   put_pod(frame,
           crc32(frame.data() + payload_off, frame.size() - payload_off));
 

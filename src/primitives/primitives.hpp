@@ -263,7 +263,7 @@ template <typename T>
 void apply_permutation(std::span<const std::size_t> perm, std::vector<T>& v) {
   ZH_REQUIRE(perm.size() == v.size(), "permutation size mismatch");
   std::vector<T> tmp(v.size());
-  // zh-lint-ignore(discarded-status): primitives::gather is the void thrust analog, not comm's Status gather
+  // zh-lint-ignore(discarded-status): primitives::gather is the void thrust analog; the rule matches any call named gather
   gather<T, std::size_t>(perm, std::span<const T>(v), std::span<T>(tmp));
   v = std::move(tmp);
 }

@@ -34,33 +34,6 @@ TEST(Comm, PointToPointAndTags) {
   });
 }
 
-TEST(Comm, GatherCollectsInRankOrder) {
-  run_cluster(4, [](Communicator& comm) {
-    const std::vector<std::uint32_t> mine = {comm.rank() * 10u};
-    const auto all = comm.gather<std::uint32_t>(0, mine);
-    if (comm.rank() == 0) {
-      ASSERT_EQ(all.size(), 4u);
-      for (RankId r = 0; r < 4; ++r) {
-        EXPECT_EQ(all[r], (std::vector<std::uint32_t>{r * 10u}));
-      }
-    } else {
-      EXPECT_TRUE(all.empty());
-    }
-  });
-}
-
-TEST(Comm, ReduceSumsElementwise) {
-  run_cluster(5, [](Communicator& comm) {
-    const std::vector<std::uint64_t> mine = {comm.rank() + 1ull, 100ull};
-    const auto sum = comm.reduce_sum<std::uint64_t>(2, mine);
-    if (comm.rank() == 2) {
-      EXPECT_EQ(sum, (std::vector<std::uint64_t>{15, 500}));
-    } else {
-      EXPECT_TRUE(sum.empty());
-    }
-  });
-}
-
 TEST(Comm, BarrierSynchronizesPhases) {
   std::atomic<int> phase1{0};
   std::atomic<bool> ok{true};
@@ -214,6 +187,40 @@ TEST(ClusterDriver, CompressedModeMatchesRawMode) {
   double decode_time = 0.0;
   for (const StepTimes& t : b.per_rank) decode_time += t.seconds[0];
   EXPECT_GT(decode_time, 0.0);
+}
+
+TEST(ClusterDriver, PartitionResultsTravelSparse) {
+  // 1000 bins but cell values 0..3: every partition result touches at
+  // most 4 bins per zone, so a sparse message is a small fraction of the
+  // dense zones x bins table it encodes.
+  const DemParams dp{.seed = 29, .max_value = 3};
+  std::vector<DemRaster> rasters;
+  rasters.push_back(
+      generate_dem(64, 64, GeoTransform(0.0, 6.4, 0.1, 0.1), dp));
+  const std::vector<std::pair<int, int>> schemas = {{2, 2}};
+  CountyParams cp;
+  cp.seed = 8;
+  cp.grid_x = 4;
+  cp.grid_y = 4;
+  const PolygonSet zones =
+      generate_counties(GeoBox{-0.3, -0.3, 6.7, 6.7}, cp);
+  constexpr BinIndex kBins = 1000;
+
+  ClusterRunConfig cfg;
+  cfg.ranks = 2;
+  cfg.zonal = {.tile_size = 16, .bins = kBins};
+  const ClusterRunResult r = run_cluster_zonal(rasters, schemas, zones, cfg);
+
+  HistogramSet expect(zones.size(), kBins);
+  for (const DemRaster& raster : rasters) {
+    expect.add(zonal_mbb_filter(raster, zones, kBins));
+  }
+  EXPECT_EQ(r.merged, expect);
+  ASSERT_EQ(r.rank_outcomes.size(), 2u);
+  const std::uint64_t worker_parts = r.rank_outcomes[1].partitions_completed;
+  EXPECT_EQ(worker_parts, 2u);  // round-robin: partitions 1 and 3
+  const std::uint64_t dense_table = zones.size() * kBins * sizeof(BinCount);
+  EXPECT_LT(r.comm_bytes, worker_parts * dense_table / 4);
 }
 
 TEST(ClusterDriver, SchemaCountMismatchThrows) {

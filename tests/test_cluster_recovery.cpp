@@ -1,13 +1,14 @@
-// Straggler/failure recovery in the fault-tolerant cluster driver
-// (DESIGN.md invariant 6 extended): any single-rank crash at any pipeline
-// step leaves the merged histograms bit-identical to the fault-free
-// single-rank run, message-fault storms stay exact, replay with the same
+// Straggler/failure recovery in the supervised cluster driver (DESIGN.md
+// invariant 6 extended): any single-rank crash at any pipeline step
+// leaves the merged histograms bit-identical to the single-device
+// per-raster sum, message-fault storms stay exact, replay with the same
 // seed is deterministic, and the degraded path reports its coverage gap.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
 #include "cluster/fault.hpp"
+#include "core/baseline.hpp"
 #include "core/cluster_driver.hpp"
 #include "data/county_synth.hpp"
 #include "data/dem_synth.hpp"
@@ -40,9 +41,14 @@ struct Scenario {
     return cfg;
   }
 
-  /// Fault-free single-rank static run: the exactness reference.
+  /// Per-raster single-device zonal histograms, summed: the exactness
+  /// reference, computed without the cluster driver under test.
   [[nodiscard]] HistogramSet reference() const {
-    return run_cluster_zonal(rasters, schemas, zones, config(1)).merged;
+    HistogramSet expect(zones.size(), 60);
+    for (const DemRaster& r : rasters) {
+      expect.add(zonal_mbb_filter(r, zones, 60));
+    }
+    return expect;
   }
 };
 
@@ -64,7 +70,6 @@ TEST(ClusterRecovery, CrashAtEveryCheckpointKeepsResultExact) {
         CrashPoint::kBeforeFinish}) {
     SCOPED_TRACE(std::string("crash at ") + std::string(to_string(point)));
     ClusterRunConfig cfg = sc.config(3);
-    cfg.fault_tolerance.enabled = true;
     cfg.fault_tolerance.worker_timeout_ms = 10000;
     cfg.fault_tolerance.faults.crash = {1, point, 0};
 
@@ -96,7 +101,6 @@ TEST(ClusterRecovery, CrashAtSecondOccurrenceAndMasterTakeover) {
   const HistogramSet expect = sc.reference();
 
   ClusterRunConfig cfg = sc.config(2);
-  cfg.fault_tolerance.enabled = true;
   cfg.fault_tolerance.worker_timeout_ms = 10000;
   cfg.fault_tolerance.faults.crash = {1, CrashPoint::kPartitionStart, 1};
 
@@ -118,7 +122,6 @@ TEST(ClusterRecovery, DegradedRunReportsCoverageGap) {
   const HistogramSet expect = sc.reference();
 
   ClusterRunConfig cfg = sc.config(2);
-  cfg.fault_tolerance.enabled = true;
   cfg.fault_tolerance.worker_timeout_ms = 10000;
   cfg.fault_tolerance.master_takeover = false;
   cfg.fault_tolerance.faults.crash = {1, CrashPoint::kStartup, 0};
@@ -139,7 +142,6 @@ TEST(ClusterRecovery, MessageFaultStormStaysExact) {
   for (const std::uint64_t seed : {1u, 2u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     ClusterRunConfig cfg = sc.config(4);
-    cfg.fault_tolerance.enabled = true;
     cfg.fault_tolerance.worker_timeout_ms = 10000;
     cfg.fault_tolerance.faults.seed = seed;
     cfg.fault_tolerance.faults.drop_prob = 0.2;
@@ -161,7 +163,6 @@ TEST(ClusterRecovery, CrashCombinedWithMessageFaultsStaysExact) {
   const HistogramSet expect = sc.reference();
 
   ClusterRunConfig cfg = sc.config(4);
-  cfg.fault_tolerance.enabled = true;
   cfg.fault_tolerance.worker_timeout_ms = 10000;
   cfg.fault_tolerance.faults =
       FaultPlan::parse("seed=9,drop=0.15,dup=0.1,crash=2@partition_done");
@@ -176,7 +177,6 @@ TEST(ClusterRecovery, CrashCombinedWithMessageFaultsStaysExact) {
 TEST(ClusterRecovery, ReplayWithSameSeedIsDeterministic) {
   const Scenario sc;
   ClusterRunConfig cfg = sc.config(3);
-  cfg.fault_tolerance.enabled = true;
   cfg.fault_tolerance.worker_timeout_ms = 10000;
   cfg.fault_tolerance.faults.crash = {1, CrashPoint::kPartitionDone, 0};
 
@@ -195,16 +195,12 @@ TEST(ClusterRecovery, ReplayWithSameSeedIsDeterministic) {
 
 TEST(ClusterRecovery, FaultTolerantModeWithoutFaultsMatchesStatic) {
   const Scenario sc;
-  ClusterRunConfig plain = sc.config(3);
-  ClusterRunConfig ft = plain;
-  ft.fault_tolerance.enabled = true;
+  ClusterRunConfig ft = sc.config(3);
   ft.fault_tolerance.worker_timeout_ms = 10000;
 
-  const ClusterRunResult a =
-      run_cluster_zonal(sc.rasters, sc.schemas, sc.zones, plain);
   const ClusterRunResult b =
       run_cluster_zonal(sc.rasters, sc.schemas, sc.zones, ft);
-  EXPECT_EQ(a.merged, b.merged);
+  EXPECT_EQ(sc.reference(), b.merged);
   EXPECT_FALSE(b.degraded);
   EXPECT_EQ(total_completed(b), 4u);
   for (const RankOutcome& o : b.rank_outcomes) {
@@ -221,7 +217,6 @@ TEST(ClusterRecovery, AggressiveTimeoutStillExact) {
   const HistogramSet expect = sc.reference();
 
   ClusterRunConfig cfg = sc.config(3);
-  cfg.fault_tolerance.enabled = true;
   cfg.fault_tolerance.worker_timeout_ms = 1;
 
   const ClusterRunResult r =
@@ -276,7 +271,6 @@ TEST(ClusterRecovery, CrashedRankLeavesMetricsRowUnreported) {
   const HistogramSet expect = sc.reference();
 
   ClusterRunConfig cfg = sc.config(3);
-  cfg.fault_tolerance.enabled = true;
   cfg.fault_tolerance.worker_timeout_ms = 10000;
   cfg.fault_tolerance.faults.crash = {1, CrashPoint::kBeforeFinish, 0};
 
@@ -300,7 +294,6 @@ TEST(ClusterRecovery, MetricsRowsSurviveDropAndDuplicateStorm) {
   const HistogramSet expect = sc.reference();
 
   ClusterRunConfig cfg = sc.config(3);
-  cfg.fault_tolerance.enabled = true;
   cfg.fault_tolerance.worker_timeout_ms = 10000;
   cfg.fault_tolerance.faults.seed = 11;
   cfg.fault_tolerance.faults.drop_prob = 0.2;

@@ -182,19 +182,15 @@ TEST_P(ExecutorEquivalence, ClusterStaticAndFaultTolerant) {
   for (const PolygonSet& zones : layers(c.seed)) {
     const HistogramSet expect = zonal_naive(rasters[0], zones, kBins);
     for (const RefineStrategy s : kStrategies) {
-      for (const bool fault_tolerant : {false, true}) {
-        SCOPED_TRACE(static_cast<int>(s));
-        SCOPED_TRACE(fault_tolerant);
-        ClusterRunConfig cfg;
-        cfg.ranks = 2;
-        cfg.zonal = {.tile_size = c.tile, .bins = kBins,
-                     .refine_strategy = s};
-        cfg.fault_tolerance.enabled = fault_tolerant;
-        const ClusterRunResult r =
-            run_cluster_zonal(rasters, schemas, zones, cfg);
-        EXPECT_FALSE(r.degraded);
-        EXPECT_EQ(r.merged, expect);
-      }
+      SCOPED_TRACE(static_cast<int>(s));
+      ClusterRunConfig cfg;
+      cfg.ranks = 2;
+      cfg.zonal = {.tile_size = c.tile, .bins = kBins,
+                   .refine_strategy = s};
+      const ClusterRunResult r =
+          run_cluster_zonal(rasters, schemas, zones, cfg);
+      EXPECT_FALSE(r.degraded);
+      EXPECT_EQ(r.merged, expect);
     }
   }
 }

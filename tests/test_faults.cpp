@@ -258,32 +258,6 @@ TEST(CommFault, ReorderedAndDelayedMessagesStillArrive) {
   });
 }
 
-TEST(CommFault, CollectivesSurviveMessageFaultStorm) {
-  for (const std::uint64_t seed : {1u, 2u, 3u}) {
-    ClusterOptions opts;
-    opts.faults.seed = seed;
-    opts.faults.drop_prob = 0.3;
-    opts.faults.duplicate_prob = 0.2;
-    opts.faults.reorder_prob = 0.3;
-    opts.faults.delay_prob = 0.2;
-    opts.faults.delay_ms = 5;
-    run_cluster(4, opts, [](Communicator& comm) {
-      const std::vector<std::uint64_t> mine = {comm.rank() + 1ull, 10ull};
-      const auto sum = comm.reduce_sum<std::uint64_t>(0, mine);
-      if (comm.rank() == 0) {
-        EXPECT_EQ(sum, (std::vector<std::uint64_t>{10, 40}));
-      }
-      const auto all = comm.gather<std::uint64_t>(2, mine);
-      if (comm.rank() == 2) {
-        ASSERT_EQ(all.size(), 4u);
-        for (RankId r = 0; r < 4; ++r) {
-          EXPECT_EQ(all[r], (std::vector<std::uint64_t>{r + 1ull, 10ull}));
-        }
-      }
-    });
-  }
-}
-
 // --------------------------------------------- deadlines and dead ranks
 
 TEST(CommFault, RecvTimesOutOnSilence) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "core/histogram.hpp"
 
 namespace zh {
@@ -89,6 +92,93 @@ TEST(HistogramDistance, L1) {
   EXPECT_EQ(histogram_l1_distance(a.of(0), a.of(0)), 0u);
   HistogramSet c(1, 5);
   EXPECT_THROW((void)histogram_l1_distance(a.of(0), c.of(0)), InvalidArgument);
+}
+
+/// Encode `bins`, decode the result against bins.size() slots and
+/// scatter it back into a dense table.
+std::vector<BinCount> sparse_round_trip(const std::vector<BinCount>& bins) {
+  std::vector<std::byte> blob;
+  append_sparse_bins(bins, blob);
+  std::vector<SparseBin> entries;
+  const Status s = decode_sparse_bins(blob, bins.size(), entries);
+  EXPECT_TRUE(s.is_ok()) << s.message();
+  std::vector<BinCount> dense(bins.size(), 0);
+  for (const SparseBin& e : entries) dense[e.index] += e.count;
+  return dense;
+}
+
+TEST(SparseBins, RoundTripAllZeroEmptyAndDense) {
+  const HistogramSet zero(4, 16);
+  std::vector<std::byte> blob;
+  append_sparse_bins(zero.flat(), blob);
+  EXPECT_EQ(blob.size(), kSparseHeaderBytes);  // nnz = 0, no entries
+  EXPECT_EQ(sparse_round_trip({zero.flat().begin(), zero.flat().end()}),
+            std::vector<BinCount>(64, 0));
+
+  const HistogramSet empty(0, 16);  // a zone layer without polygons
+  ASSERT_TRUE(empty.flat().empty());
+  blob.clear();
+  append_sparse_bins(empty.flat(), blob);
+  EXPECT_EQ(blob.size(), kSparseHeaderBytes);
+  std::vector<SparseBin> entries = {{1, 1}};
+  EXPECT_TRUE(decode_sparse_bins(blob, 0, entries).is_ok());
+  EXPECT_TRUE(entries.empty());
+
+  std::vector<BinCount> dense(3 * 7);
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    dense[i] = static_cast<BinCount>(i + 1);
+  }
+  blob.clear();
+  append_sparse_bins(dense, blob);
+  EXPECT_EQ(blob.size(), kSparseHeaderBytes + dense.size() * kSparseEntryBytes);
+  EXPECT_EQ(sparse_round_trip(dense), dense);
+}
+
+TEST(SparseBins, EncodingIsByteExact) {
+  // The journal's on-disk records use this encoding, so its bytes are
+  // pinned: u64 nnz, then (u64 index, u32 count) per nonzero slot.
+  const std::vector<BinCount> bins = {0, 5, 0, 0, 0x01020304u};
+  std::vector<std::byte> blob = {std::byte{0xAB}};  // appends, keeps prefix
+  append_sparse_bins(bins, blob);
+  const std::vector<unsigned char> expect = {
+      0xAB,                                             // prefix
+      2, 0, 0, 0, 0, 0, 0, 0,                           // nnz
+      1, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0,               // slot 1
+      4, 0, 0, 0, 0, 0, 0, 0, 0x04, 0x03, 0x02, 0x01};  // slot 4
+  ASSERT_EQ(blob.size(), expect.size());
+  EXPECT_EQ(std::memcmp(blob.data(), expect.data(), expect.size()), 0);
+}
+
+TEST(SparseBins, DecodeRejectsMalformedPayloads) {
+  const std::vector<BinCount> bins = {0, 3, 0, 7};
+  std::vector<std::byte> good;
+  append_sparse_bins(bins, good);
+  std::vector<SparseBin> out;
+  ASSERT_TRUE(decode_sparse_bins(good, bins.size(), out).is_ok());
+  EXPECT_EQ(out, (std::vector<SparseBin>{{1, 3}, {3, 7}}));
+
+  const auto rejects = [&](std::span<const std::byte> blob,
+                           std::uint64_t slots) {
+    const Status s = decode_sparse_bins(blob, slots, out);
+    EXPECT_EQ(s.code(), StatusCode::kCorrupt);
+    return !s.is_ok();
+  };
+  // Short payload: not even a whole nnz header.
+  EXPECT_TRUE(rejects(std::span(good).first(kSparseHeaderBytes - 1), 4));
+  EXPECT_TRUE(rejects({}, 4));
+  // nnz disagrees with the length: one entry cut off, one byte extra.
+  EXPECT_TRUE(rejects(std::span(good).first(good.size() - kSparseEntryBytes),
+                      4));
+  std::vector<std::byte> longer = good;
+  longer.push_back(std::byte{0});
+  EXPECT_TRUE(rejects(longer, 4));
+  // nnz larger than the table.
+  std::vector<std::byte> huge = good;
+  const std::uint64_t nnz = 5;
+  std::memcpy(huge.data(), &nnz, sizeof(nnz));
+  EXPECT_TRUE(rejects(huge, 4));
+  // An index past groups x bins (slot 3 of a 3-slot table).
+  EXPECT_TRUE(rejects(good, 3));
 }
 
 }  // namespace

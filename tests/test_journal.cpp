@@ -114,6 +114,22 @@ TEST_F(JournalFile, WriterReportsProgress) {
   EXPECT_EQ(w.records_written(), 1u);
 }
 
+TEST_F(JournalFile, RecordBytesArePinned) {
+  // Two records from fixed input: the header, then per record u32
+  // length, generation, partition, the sparse histogram and a CRC-32.
+  // Journals already on disk must stay loadable, so the file's size and
+  // CRC-32 are pinned; any drift means the on-disk format changed.
+  {
+    JournalWriter w = JournalWriter::create(path("j"), test_manifest());
+    w.on_partition_complete(2, bins_with({{0, 5}, {7, 2}, {23, 0x01020304}}));
+    w.on_partition_complete(0, bins_with({{12, 1}}));
+    w.flush();
+  }
+  const std::vector<char> bytes = slurp(path("j"));
+  EXPECT_EQ(bytes.size(), std::size_t{148});
+  EXPECT_EQ(crc32(bytes.data(), bytes.size()), 0x3F8FE7CDu);
+}
+
 TEST_F(JournalFile, TruncationAtEveryByteRecoversAPrefix) {
   // The torn-tail rule, exhaustively: cutting the file at ANY byte must
   // either fail the header check (IoError) or load a clean prefix of the

@@ -34,9 +34,10 @@ TSAN_FILTER='*ThreadPool*:*Primitive*:*Comm*:*Partition*:*Cluster*:*Stress*:*Dev
 
 # Suites whose concurrency invariants (torn metric snapshots, cache
 # accounting, fork-join, causal flows, comm retries, executor bit
-# identity) must hold on every run, not on most: repeated by the repeat
-# stage.
-REPEAT_FILTER='*Obs*:*TileCache*:*ThreadPool*:*TraceCausal*:*Comm*:*Executor*'
+# identity, and the cluster driver's heartbeat supervision, which every
+# cluster run goes through) must hold on every run, not on most:
+# repeated by the repeat stage.
+REPEAT_FILTER='*Obs*:*TileCache*:*ThreadPool*:*TraceCausal*:*Comm*:*Executor*:*ClusterSweep*:*ClusterDriver*'
 
 # Fault-tolerance suites: deterministic fault injection, timeout/retry,
 # straggler recovery, corruption-detecting I/O, the parser corpus, the

@@ -6,7 +6,7 @@
 //       [--checkpoint-dir DIR] [--resume] [--checkpoint-interval N]
 //     Zonal histograms of a raster (.zgrid, .asc or .bq) over a WKT-TSV
 //     zone layer; optional classic statistics table; CSV output. With
-//     --ranks > 1 the run goes through the fault-tolerant cluster driver;
+//     --ranks > 1 the run goes through the supervised cluster driver;
 //     --fault-plan injects scripted message faults / rank crashes (see
 //     FaultPlan::parse), e.g. "seed=1,drop=0.05,crash=2@partition_done".
 //     --checkpoint-dir journals every accepted partition into
@@ -300,7 +300,6 @@ int cmd_hist(const Args& args) {
     cfg.ranks = args.ranks > 0 ? args.ranks : 1;
     cfg.zonal = {.tile_size = args.tile, .bins = args.bins,
                  .refine_strategy = args.refine};
-    cfg.fault_tolerance.enabled = true;
     if (!args.fault_plan.empty()) {
       cfg.fault_tolerance.faults = FaultPlan::parse(args.fault_plan);
       if (cfg.fault_tolerance.faults.seed == 0) {
